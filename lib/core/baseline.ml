@@ -1,8 +1,3 @@
-let random_testing ?(seed = 1L) ?(dual = false) ?max_cycles cfg ~iterations =
-  Fuzzer.run
-    ~options:{ Fuzzer.Options.default with seed; dual; max_cycles }
-    cfg Fuzzer.random_strategy ~iterations
-
 (* SpecDoctor-style fuzzing: coverage-retained random mutation, secret
    regions biased to transient faults, no interval feedback. *)
 let specdoctor ?(seed = 7L) ?max_cycles cfg ~iterations =

@@ -1,7 +1,7 @@
-(** Comparison fuzzers.
+(** Comparison fuzzer.
 
-    {b Random testing} — Sonar with every guidance strategy disabled
-    (fresh random testcase each iteration): the baseline of Figure 8.
+    The Figure 8 random-testing baseline is not here: it is {!Fuzzer.run}
+    with the {!Feedback.random} strategy preset.
 
     {b SpecDoctor-style} — a transient-execution-focused fuzzer: testcases
     always carry a faulting (Meltdown-style) secret region, and feedback is
@@ -9,18 +9,6 @@
     (SpecDoctor retains testcases reaching new RTL states; it has no notion
     of inter-request timing). The Figure 11 comparison measures how many
     {e new} contention points each approach keeps finding. *)
-
-val random_testing :
-  ?seed:int64 ->
-  ?dual:bool ->
-  ?max_cycles:int ->
-  Sonar_uarch.Config.t ->
-  iterations:int ->
-  Fuzzer.outcome
-[@@ocaml.deprecated
-  "use Fuzzer.run with the Feedback.random strategy preset instead"]
-(** One-line wrapper over {!Fuzzer.run} with {!Feedback.random}; kept for
-    one release now that the random baseline is just a strategy preset. *)
 
 val specdoctor :
   ?seed:int64 ->

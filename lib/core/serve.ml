@@ -120,6 +120,10 @@ let serve_loop stopping sock handler =
   done
 
 let start ?(host = "127.0.0.1") ~port handler =
+  (* A client that resets mid-response makes the next write fail with
+     EPIPE; the default SIGPIPE action would kill the whole process (and
+     the campaign being observed) before [serve_loop] sees the error. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

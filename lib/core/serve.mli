@@ -35,7 +35,9 @@ type t
 val start : ?host:string -> port:int -> handler -> t
 (** Bind [host] (default ["127.0.0.1"]) : [port] (0 picks a free port —
     read it back with {!port}) and serve from a freshly spawned domain.
-    Raises [Unix.Unix_error] if the bind fails. *)
+    Sets SIGPIPE to ignored for the whole process, so a client resetting
+    mid-response cannot kill it. Raises [Unix.Unix_error] if the bind
+    fails. *)
 
 val port : t -> int
 (** The actually-bound port. *)

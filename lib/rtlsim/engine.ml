@@ -2,9 +2,7 @@ open Sonar_ir
 
 exception Unknown_signal of string
 
-type backend = Tree | Compiled | Bitsliced
-
-let max_lanes = 63
+type backend = Tree | Compiled
 
 (* Slot-resolved engine core.
 
@@ -27,16 +25,7 @@ let max_lanes = 63
      index-resolved closure [unit -> int] over the store, with widths and
      masks resolved statically. [step] then runs two flat closure sweeps
      plus a register latch through a preallocated scratch array — no
-     hashtable lookups, no [Bitvec] boxing, no per-cycle allocation.
-   - [Bitsliced]: the store is transposed into bit planes — each signal
-     owns [width] native ints, and plane [b] packs bit [b] of up to 63
-     independent stimulus lanes (one lane per bit of the 63-bit native
-     int). Each levelized expression is lowered once to a plane-wise
-     closure: mux/and/or/xor/not/eq are pure bitwise ops stepping all
-     lanes at once, add/sub are ripple-carry over planes, comparisons
-     come from the borrow-out of a plane-wise subtraction. The register
-     latch is the same preallocated scratch-array swap, so [step] stays
-     allocation-free while advancing 63 testcases per call. *)
+     hashtable lookups, no [Bitvec] boxing, no per-cycle allocation. *)
 
 type t = {
   store : int array;  (** slot -> current value (63-bit pattern, masked) *)
@@ -52,12 +41,6 @@ type t = {
   reg_fns : (unit -> int) array;  (** [Compiled] only; next value *)
   reg_resets : int array;
   scratch : int array;  (** next-register buffer, reused every [step] *)
-  planes : int array array;
-      (** [Bitsliced] only: slot -> [width] planes, plane [b] = bit [b] of
-          all 63 lanes; [[||]] on the scalar backends *)
-  bs_comb_fns : (unit -> unit) array;  (** [Bitsliced]: write slot planes *)
-  bs_reg_fns : (unit -> unit) array;  (** [Bitsliced]: write reg scratch *)
-  bs_reg_scratch : int array array;  (** per-register plane scratch, reused *)
   backend : backend;
   mutable cycles : int;
 }
@@ -76,75 +59,12 @@ let slot t name =
 let slot_name t s = t.names.(s)
 let slot_width t s = t.widths.(s)
 
-(* Re-assemble one lane's value from a signal's planes: bit [b] of the
-   result is bit [lane] of plane [b]. Allocation-free; for width-63
-   signals the top plane lands on the native sign bit, preserving
-   [read_slot]'s signed-pattern semantics. *)
-let plane_read_lane (planes : int array) ~lane =
-  let v = ref 0 in
-  for b = Array.length planes - 1 downto 0 do
-    v := (!v lsl 1) lor ((Array.unsafe_get planes b lsr lane) land 1)
-  done;
-  !v
-
-let read_slot t s =
-  match t.backend with
-  | Tree | Compiled -> t.store.(s)
-  | Bitsliced -> plane_read_lane t.planes.(s) ~lane:0
+let read_slot t s = t.store.(s)
 
 let read_slot64 t s =
   (* Stored values are masked to <= 63 bits, so clearing the sign-extension
      bit of [of_int] recovers the unsigned value. *)
   Int64.logand (Int64.of_int (read_slot t s)) 0x7FFF_FFFF_FFFF_FFFFL
-
-let lanes t = match t.backend with Bitsliced -> max_lanes | Tree | Compiled -> 1
-
-let read_slot_lane t s ~lane =
-  match t.backend with
-  | Bitsliced ->
-      if lane < 0 || lane >= max_lanes then
-        invalid_arg "Engine.read_slot_lane: lane out of range";
-      plane_read_lane t.planes.(s) ~lane
-  | Tree | Compiled ->
-      if lane <> 0 then
-        invalid_arg "Engine.read_slot_lane: scalar backend has a single lane";
-      t.store.(s)
-
-let read_slot_mask t s =
-  match t.backend with
-  | Bitsliced ->
-      let p = t.planes.(s) in
-      let acc = ref 0 in
-      for b = 0 to Array.length p - 1 do
-        acc := !acc lor Array.unsafe_get p b
-      done;
-      !acc
-  | Tree | Compiled -> if t.store.(s) <> 0 then 1 else 0
-
-let read_slot_lanes_into t s (dst : int array) =
-  let n = Array.length dst in
-  match t.backend with
-  | Bitsliced ->
-      if n > max_lanes then
-        invalid_arg "Engine.read_slot_lanes_into: more than 63 lanes";
-      Array.fill dst 0 n 0;
-      let p = t.planes.(s) in
-      for b = 0 to Array.length p - 1 do
-        let pb = Array.unsafe_get p b in
-        for lane = 0 to n - 1 do
-          Array.unsafe_set dst lane
-            (Array.unsafe_get dst lane lor (((pb lsr lane) land 1) lsl b))
-        done
-      done
-  | Tree | Compiled ->
-      if n <> 1 then
-        invalid_arg "Engine.read_slot_lanes_into: scalar backend has one lane";
-      dst.(0) <- t.store.(s)
-
-let read_slot_lanes t s =
-  let dst = Array.make (lanes t) 0 in
-  read_slot_lanes_into t s dst;
-  dst
 
 (* --- native-int bit operations (mirroring Bitvec) --- *)
 
@@ -159,7 +79,7 @@ let check_width w =
 
 let to_native (v : Bitvec.t) = Int64.to_int (Bitvec.value v)
 
-let of_native t s = Bitvec.make ~width:t.widths.(s) (Int64.of_int (read_slot t s))
+let of_native t s = Bitvec.make ~width:t.widths.(s) (Int64.of_int t.store.(s))
 
 (* --- width inference, mirroring Bitvec's result widths --- *)
 
@@ -342,305 +262,6 @@ let compile_assign t ~width expr =
     let m = native_mask width in
     fun () -> f () land m
 
-(* --- bit-sliced (plane-wise) compilation --- *)
-
-(* Lower an expression to a plane-wise closure. The closure returns a
-   preallocated buffer of exactly [w] planes ([w] = the expression's static
-   width, the same width [compile_expr] computes); plane [b] packs bit [b]
-   of all 63 lanes, so one bitwise op on a plane advances every lane at
-   once. Buffers are allocated at compile time and reused on every call —
-   stepping never allocates. Consumers read only planes below an argument's
-   static width and treat higher planes as zero, which is the plane-wise
-   mirror of the scalar backend's width masks: masking to [w] bits {e is}
-   having only [w] planes. Width errors surface at compile time with the
-   same [Bitvec.Width_error] the other backends raise. *)
-let rec compile_bs_expr t expr : (unit -> int array) * int =
-  let go e = compile_bs_expr t e in
-  (* Per-lane borrow-out of the plane-wise subtraction [a - b], i.e. the
-     63-lane mask of unsigned [a < b]. *)
-  let borrow fa wa fb wb =
-    let w = max wa wb in
-    fun () ->
-      let av = fa () and bv = fb () in
-      let bor = ref 0 in
-      for b = 0 to w - 1 do
-        let x = if b < wa then Array.unsafe_get av b else 0 in
-        let y = if b < wb then Array.unsafe_get bv b else 0 in
-        bor := (lnot x land y) lor (lnot (x lxor y) land !bor)
-      done;
-      !bor
-  in
-  (* 63-lane mask of plane-wise [a <> b]. *)
-  let differs fa wa fb wb =
-    let w = max wa wb in
-    fun () ->
-      let av = fa () and bv = fb () in
-      let acc = ref 0 in
-      for b = 0 to w - 1 do
-        let x = if b < wa then Array.unsafe_get av b else 0 in
-        let y = if b < wb then Array.unsafe_get bv b else 0 in
-        acc := !acc lor (x lxor y)
-      done;
-      !acc
-  in
-  let bit1 f =
-    let out = Array.make 1 0 in
-    ( (fun () ->
-        Array.unsafe_set out 0 (f ());
-        out),
-      1 )
-  in
-  match expr with
-  | Expr.Ref name ->
-      let s = slot t name in
-      let p = t.planes.(s) in
-      ((fun () -> p), t.widths.(s))
-  | Expr.Lit { value; width } ->
-      let w = check_width width in
-      let v = Int64.logand value (mask64 w) in
-      let buf =
-        Array.init w (fun b ->
-            if Int64.logand (Int64.shift_right_logical v b) 1L = 1L then -1
-            else 0)
-      in
-      ((fun () -> buf), w)
-  | Expr.Mux { sel; tval; fval } ->
-      let fs, ws = go sel in
-      let ft, wt = go tval in
-      let ff, wf = go fval in
-      let w = max wt wf in
-      let out = Array.make w 0 in
-      ( (fun () ->
-          (* The scalar backends select on [sel <> 0]; plane-wise that is
-             the OR over every sel plane, one select mask for all lanes. *)
-          let sv = fs () in
-          let m = ref 0 in
-          for b = 0 to ws - 1 do
-            m := !m lor Array.unsafe_get sv b
-          done;
-          let m = !m in
-          let tv = ft () and fv = ff () in
-          for b = 0 to w - 1 do
-            let tb = if b < wt then Array.unsafe_get tv b else 0 in
-            let fb = if b < wf then Array.unsafe_get fv b else 0 in
-            Array.unsafe_set out b ((tb land m) lor (fb land lnot m))
-          done;
-          out),
-        w )
-  | Expr.Prim { op; args } -> (
-      match (op, args) with
-      | Expr.Not, [ a ] ->
-          let fa, wa = go a in
-          let out = Array.make wa 0 in
-          ( (fun () ->
-              let av = fa () in
-              for b = 0 to wa - 1 do
-                Array.unsafe_set out b (lnot (Array.unsafe_get av b))
-              done;
-              out),
-            wa )
-      | Expr.Shl n, [ a ] ->
-          let fa, wa = go a in
-          let w = min 63 (wa + n) in
-          let out = Array.make w 0 in
-          ( (fun () ->
-              let av = fa () in
-              for b = 0 to w - 1 do
-                Array.unsafe_set out b
-                  (if b >= n && b - n < wa then Array.unsafe_get av (b - n)
-                   else 0)
-              done;
-              out),
-            w )
-      | Expr.Shr n, [ a ] ->
-          let fa, wa = go a in
-          let w = max 1 (wa - n) in
-          let out = Array.make w 0 in
-          ( (fun () ->
-              let av = fa () in
-              for b = 0 to w - 1 do
-                Array.unsafe_set out b
-                  (if b + n < wa then Array.unsafe_get av (b + n) else 0)
-              done;
-              out),
-            w )
-      | Expr.Bits (hi, lo), [ a ] ->
-          if hi < lo || lo < 0 then
-            raise
-              (Bitvec.Width_error (Printf.sprintf "invalid slice [%d:%d]" hi lo));
-          let fa, wa = go a in
-          let w = check_width (hi - lo + 1) in
-          let out = Array.make w 0 in
-          ( (fun () ->
-              let av = fa () in
-              for b = 0 to w - 1 do
-                Array.unsafe_set out b
-                  (if lo + b < wa then Array.unsafe_get av (lo + b) else 0)
-              done;
-              out),
-            w )
-      | Expr.Pad n, [ a ] ->
-          let fa, wa = go a in
-          let w = check_width n in
-          let out = Array.make w 0 in
-          let k = min wa w in
-          ( (fun () ->
-              Array.blit (fa ()) 0 out 0 k;
-              out),
-            w )
-      | Expr.Cat, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          if wa + wb > 63 then
-            raise (Bitvec.Width_error "cat result exceeds 63 bits");
-          let out = Array.make (wa + wb) 0 in
-          ( (fun () ->
-              Array.blit (fb ()) 0 out 0 wb;
-              Array.blit (fa ()) 0 out wb wa;
-              out),
-            wa + wb )
-      | Expr.Add, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let w = max wa wb in
-          let out = Array.make w 0 in
-          ( (fun () ->
-              let av = fa () and bv = fb () in
-              let carry = ref 0 in
-              for b = 0 to w - 1 do
-                let x = if b < wa then Array.unsafe_get av b else 0 in
-                let y = if b < wb then Array.unsafe_get bv b else 0 in
-                let c = !carry in
-                Array.unsafe_set out b (x lxor y lxor c);
-                carry := (x land y) lor (c land (x lxor y))
-              done;
-              out),
-            w )
-      | Expr.Sub, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let w = max wa wb in
-          let out = Array.make w 0 in
-          ( (fun () ->
-              let av = fa () and bv = fb () in
-              let bor = ref 0 in
-              for b = 0 to w - 1 do
-                let x = if b < wa then Array.unsafe_get av b else 0 in
-                let y = if b < wb then Array.unsafe_get bv b else 0 in
-                let bin = !bor in
-                Array.unsafe_set out b (x lxor y lxor bin);
-                bor := (lnot x land y) lor (lnot (x lxor y) land bin)
-              done;
-              out),
-            w )
-      | Expr.And, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let w = max wa wb in
-          let out = Array.make w 0 in
-          ( (fun () ->
-              let av = fa () and bv = fb () in
-              for b = 0 to w - 1 do
-                let x = if b < wa then Array.unsafe_get av b else 0 in
-                let y = if b < wb then Array.unsafe_get bv b else 0 in
-                Array.unsafe_set out b (x land y)
-              done;
-              out),
-            w )
-      | Expr.Or, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let w = max wa wb in
-          let out = Array.make w 0 in
-          ( (fun () ->
-              let av = fa () and bv = fb () in
-              for b = 0 to w - 1 do
-                let x = if b < wa then Array.unsafe_get av b else 0 in
-                let y = if b < wb then Array.unsafe_get bv b else 0 in
-                Array.unsafe_set out b (x lor y)
-              done;
-              out),
-            w )
-      | Expr.Xor, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let w = max wa wb in
-          let out = Array.make w 0 in
-          ( (fun () ->
-              let av = fa () and bv = fb () in
-              for b = 0 to w - 1 do
-                let x = if b < wa then Array.unsafe_get av b else 0 in
-                let y = if b < wb then Array.unsafe_get bv b else 0 in
-                Array.unsafe_set out b (x lxor y)
-              done;
-              out),
-            w )
-      | Expr.Eq, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let d = differs fa wa fb wb in
-          bit1 (fun () -> lnot (d ()))
-      | Expr.Neq, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let d = differs fa wa fb wb in
-          bit1 d
-      | Expr.Lt, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          bit1 (borrow fa wa fb wb)
-      | Expr.Gt, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          bit1 (borrow fb wb fa wa)
-      | Expr.Leq, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let gt = borrow fb wb fa wa in
-          bit1 (fun () -> lnot (gt ()))
-      | Expr.Geq, [ a; b ] ->
-          let fa, wa = go a in
-          let fb, wb = go b in
-          let lt = borrow fa wa fb wb in
-          bit1 (fun () -> lnot (lt ()))
-      | _ -> invalid_arg "Engine.compile: arity mismatch")
-
-(* Plane-wise assignment into a slot's planes, truncating or zero-extending
-   to the signal's declared width (outputs may be narrower than their
-   drive), mirroring [compile_assign]'s re-mask. *)
-let compile_bs_assign t ~slot:s expr =
-  let fn, w = compile_bs_expr t expr in
-  let dst = t.planes.(s) in
-  let width = Array.length dst in
-  let k = min w width in
-  if width <= w then fun () -> Array.blit (fn ()) 0 dst 0 k
-  else fun () ->
-    Array.blit (fn ()) 0 dst 0 k;
-    Array.fill dst k (width - k) 0
-
-(* Next-value closure for register [idx], writing into its plane scratch
-   (the slot's planes must not change until every drive has been read). *)
-let compile_bs_reg t ~idx ~slot:s drive =
-  let scratch = t.bs_reg_scratch.(idx) in
-  let width = Array.length scratch in
-  match drive with
-  | None ->
-      let src = t.planes.(s) in
-      fun () -> Array.blit src 0 scratch 0 width
-  | Some expr ->
-      let fn, w = compile_bs_expr t expr in
-      let k = min w width in
-      if width <= w then fun () -> Array.blit (fn ()) 0 scratch 0 k
-      else fun () ->
-        Array.blit (fn ()) 0 scratch 0 k;
-        Array.fill scratch k (width - k) 0
-
-(* Broadcast a scalar 63-bit pattern to all 63 lanes of a plane array. *)
-let broadcast_planes (dst : int array) v =
-  for b = 0 to Array.length dst - 1 do
-    dst.(b) <- (if (v lsr b) land 1 = 1 then -1 else 0)
-  done
-
 (* --- settle / step --- *)
 
 let settle_tree t =
@@ -657,17 +278,8 @@ let settle_compiled t =
     Array.unsafe_set st (Array.unsafe_get slots i) ((Array.unsafe_get fns i) ())
   done
 
-let settle_bitsliced t =
-  let fns = t.bs_comb_fns in
-  for i = 0 to Array.length fns - 1 do
-    (Array.unsafe_get fns i) ()
-  done
-
 let settle t =
-  match t.backend with
-  | Tree -> settle_tree t
-  | Compiled -> settle_compiled t
-  | Bitsliced -> settle_bitsliced t
+  match t.backend with Tree -> settle_tree t | Compiled -> settle_compiled t
 
 let step_tree t =
   settle_tree t;
@@ -697,25 +309,15 @@ let step_compiled t =
   done;
   settle_compiled t
 
-let step_bitsliced t =
-  settle_bitsliced t;
-  let fns = t.bs_reg_fns in
-  for i = 0 to Array.length fns - 1 do
-    (Array.unsafe_get fns i) ()
-  done;
-  let slots = t.reg_slots and scratch = t.bs_reg_scratch in
-  for i = 0 to Array.length slots - 1 do
-    let src = Array.unsafe_get scratch i in
-    Array.blit src 0 t.planes.(Array.unsafe_get slots i) 0 (Array.length src)
-  done;
-  settle_bitsliced t
-
 let step t =
-  (match t.backend with
-  | Tree -> step_tree t
-  | Compiled -> step_compiled t
-  | Bitsliced -> step_bitsliced t);
+  (match t.backend with Tree -> step_tree t | Compiled -> step_compiled t);
   t.cycles <- t.cycles + 1
+
+let reset t =
+  Array.iteri (fun i s -> t.store.(s) <- t.reg_resets.(i)) t.reg_slots;
+  Array.iteri (fun s inp -> if inp then t.store.(s) <- 0) t.is_input;
+  settle t;
+  t.cycles <- 0
 
 (* --- compilation --- *)
 
@@ -823,15 +425,6 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
       reg_fns = [||];
       reg_resets;
       scratch = Array.make (Array.length reg_slots) 0;
-      planes =
-        (if backend = Bitsliced then Array.map (fun w -> Array.make w 0) widths
-         else [||]);
-      bs_comb_fns = [||];
-      bs_reg_fns = [||];
-      bs_reg_scratch =
-        (if backend = Bitsliced then
-           Array.map (fun s -> Array.make widths.(s) 0) reg_slots
-         else [||]);
       backend;
       cycles = 0;
     }
@@ -839,8 +432,8 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
   let t =
     match backend with
     | Tree ->
-        (* Validate widths eagerly, exactly as the compiled backends do:
-           lower every expression through the scalar compiler and discard
+        (* Validate widths eagerly, exactly as the compiled backend does:
+           lower every expression through the closure compiler and discard
            the closures, so [compile] is the only place width errors can
            surface on any backend. *)
         Array.iter2
@@ -876,30 +469,11 @@ let compile ?(backend = Compiled) (m : Fmodule.t) =
             reg_slots reg_drives
         in
         { t with comb_fns; reg_fns }
-    | Bitsliced ->
-        let bs_comb_fns =
-          Array.map2
-            (fun s expr -> compile_bs_assign t ~slot:s expr)
-            comb_slots comb_exprs
-        in
-        let bs_reg_fns =
-          Array.init (Array.length reg_slots) (fun i ->
-              compile_bs_reg t ~idx:i ~slot:reg_slots.(i) reg_drives.(i))
-        in
-        { t with bs_comb_fns; bs_reg_fns }
   in
-  (* Initialise registers to reset values and settle once. *)
-  (match t.backend with
-  | Tree | Compiled ->
-      Array.iteri (fun i s -> t.store.(s) <- t.reg_resets.(i)) t.reg_slots
-  | Bitsliced ->
-      Array.iteri
-        (fun i s -> broadcast_planes t.planes.(s) t.reg_resets.(i))
-        t.reg_slots);
-  settle t;
+  reset t;
   t
 
-(* --- peek / poke / reset --- *)
+(* --- peek / poke --- *)
 
 let input_slot t name =
   let s = slot t name in
@@ -908,75 +482,14 @@ let input_slot t name =
 
 let poke t name v =
   let s = input_slot t name in
-  let nv = to_native (Bitvec.pad t.widths.(s) v) in
-  match t.backend with
-  | Tree | Compiled -> t.store.(s) <- nv
-  | Bitsliced ->
-      (* Scalar pokes broadcast to every lane, so lane-oblivious consumers
-         (the VCD writer, single-stimulus tests) keep working unchanged. *)
-      broadcast_planes t.planes.(s) nv
+  t.store.(s) <- to_native (Bitvec.pad t.widths.(s) v)
 
 let poke_int t name v =
   poke t name (Bitvec.make ~width:t.widths.(slot t name) (Int64.of_int v))
 
-let poke_lane t name ~lane v =
-  let s = input_slot t name in
-  match t.backend with
-  | Bitsliced ->
-      if lane < 0 || lane >= max_lanes then
-        invalid_arg "Engine.poke_lane: lane out of range";
-      let p = t.planes.(s) in
-      let m = 1 lsl lane in
-      let nm = lnot m in
-      for b = 0 to Array.length p - 1 do
-        if (v lsr b) land 1 = 1 then p.(b) <- p.(b) lor m
-        else p.(b) <- p.(b) land nm
-      done
-  | Tree | Compiled ->
-      if lane <> 0 then
-        invalid_arg "Engine.poke_lane: scalar backend has a single lane";
-      poke_int t name v
-
-let poke_lanes t name vals =
-  let s = input_slot t name in
-  match t.backend with
-  | Bitsliced ->
-      let n = Array.length vals in
-      if n > max_lanes then invalid_arg "Engine.poke_lanes: more than 63 lanes";
-      let p = t.planes.(s) in
-      for b = 0 to Array.length p - 1 do
-        let m = ref 0 in
-        for lane = 0 to n - 1 do
-          m := !m lor (((vals.(lane) lsr b) land 1) lsl lane)
-        done;
-        p.(b) <- !m
-      done
-  | Tree | Compiled ->
-      if Array.length vals <> 1 then
-        invalid_arg "Engine.poke_lanes: scalar backend has a single lane";
-      poke_int t name vals.(0)
-
 let peek t name = of_native t (slot t name)
 let peek_int t name = read_slot t (slot t name)
 let cycle t = t.cycles
-
-let reset t =
-  (match t.backend with
-  | Tree | Compiled ->
-      Array.iteri (fun i s -> t.store.(s) <- t.reg_resets.(i)) t.reg_slots;
-      Array.iteri (fun s inp -> if inp then t.store.(s) <- 0) t.is_input
-  | Bitsliced ->
-      Array.iteri
-        (fun i s -> broadcast_planes t.planes.(s) t.reg_resets.(i))
-        t.reg_slots;
-      Array.iteri
-        (fun s inp ->
-          if inp then
-            let p = t.planes.(s) in
-            Array.fill p 0 (Array.length p) 0)
-        t.is_input);
-  settle t;
-  t.cycles <- 0
 
 let signal_names t = Array.to_list t.names
 let signal_width t name = t.widths.(slot t name)

@@ -101,121 +101,3 @@ let states t = Array.to_list (Array.map (fun tr -> tr.state) t.tracked)
 
 let find t id =
   List.find_opt (fun (s : point_state) -> String.equal s.point_id id) (states t)
-
-(* Batch sampling over a bit-sliced engine: the same interval bookkeeping
-   as [sample], replicated per lane. One [Engine.read_slot_mask] per valid
-   output covers all 63 lanes' truthiness at once; the per-lane updates
-   then run only for lanes whose source actually fired this cycle. *)
-module Batch = struct
-  type lane_tracked = {
-    b_states : point_state array;  (** lane -> state *)
-    b_valid_slots : int array;
-    b_fired : int array;  (** per source: 63-lane fired mask, reused *)
-    b_last_valid : int array array;  (** source -> lane -> cycle, -1 = never *)
-  }
-
-  type t = {
-    b_engine : Engine.t;
-    b_lanes : int;
-    b_tracked : lane_tracked array;
-    mutable b_window : (int * int) option;
-  }
-
-  let create engine monitors =
-    let lanes = Engine.lanes engine in
-    let tracked =
-      List.map
-        (fun (pm : Sonar_ir.Instrument.point_monitor) ->
-          let valid_slots =
-            Array.of_list (List.map (Engine.slot engine) pm.valid_outputs)
-          in
-          let n = Array.length valid_slots in
-          {
-            b_states =
-              Array.init lanes (fun _ ->
-                  {
-                    point_id = pm.point_id;
-                    min_pair_interval = None;
-                    min_self_interval = None;
-                    triggered = false;
-                    request_hits = 0;
-                  });
-            b_valid_slots = valid_slots;
-            b_fired = Array.make n 0;
-            b_last_valid = Array.make_matrix n lanes (-1);
-          })
-        monitors
-      |> Array.of_list
-    in
-    { b_engine = engine; b_lanes = lanes; b_tracked = tracked; b_window = None }
-
-  let lanes t = t.b_lanes
-  let set_window t ~start ~stop = t.b_window <- Some (start, stop)
-  let clear_window t = t.b_window <- None
-
-  let sample t =
-    let cycle = Engine.cycle t.b_engine in
-    let in_window =
-      match t.b_window with
-      | None -> true
-      | Some (start, stop) -> cycle >= start && cycle <= stop
-    in
-    Array.iter
-      (fun tr ->
-        let n = Array.length tr.b_valid_slots in
-        let fired = tr.b_fired in
-        for i = 0 to n - 1 do
-          fired.(i) <- Engine.read_slot_mask t.b_engine tr.b_valid_slots.(i)
-        done;
-        if in_window then
-          for i = 0 to n - 1 do
-            let fi = fired.(i) in
-            if fi <> 0 then
-              for lane = 0 to t.b_lanes - 1 do
-                if (fi lsr lane) land 1 = 1 then begin
-                  let st = tr.b_states.(lane) in
-                  st.request_hits <- st.request_hits + 1;
-                  let lvi = tr.b_last_valid.(i) in
-                  if lvi.(lane) >= 0 then
-                    st.min_self_interval <-
-                      update_min st.min_self_interval (cycle - lvi.(lane));
-                  for j = 0 to n - 1 do
-                    if j <> i then begin
-                      let last_j =
-                        if (fired.(j) lsr lane) land 1 = 1 then cycle
-                        else tr.b_last_valid.(j).(lane)
-                      in
-                      if last_j >= 0 then begin
-                        let interval = cycle - last_j in
-                        st.min_pair_interval <-
-                          update_min st.min_pair_interval interval;
-                        if interval = 0 then st.triggered <- true
-                      end
-                    end
-                  done
-                end
-              done
-          done;
-        (* As in [sample]: last-valid bookkeeping runs outside the window
-           too, so intervals across the window edge are measured. *)
-        for i = 0 to n - 1 do
-          let fi = fired.(i) in
-          if fi <> 0 then begin
-            let lvi = tr.b_last_valid.(i) in
-            for lane = 0 to t.b_lanes - 1 do
-              if (fi lsr lane) land 1 = 1 then lvi.(lane) <- cycle
-            done
-          end
-        done)
-      t.b_tracked
-
-  let states t ~lane =
-    if lane < 0 || lane >= t.b_lanes then
-      invalid_arg "Monitor.Batch.states: lane out of range";
-    Array.to_list (Array.map (fun tr -> tr.b_states.(lane)) t.b_tracked)
-
-  let find t ~lane id =
-    List.find_opt
-      (fun (s : point_state) -> String.equal s.point_id id)
-      (states t ~lane)
-end

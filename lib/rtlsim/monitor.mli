@@ -33,27 +33,3 @@ val sample : t -> unit
 val states : t -> point_state list
 val find : t -> string -> point_state option
 (** Look up a point's state by id. *)
-
-(** Batch sampling over a bit-sliced engine: one {!point_state} per
-    (point, lane), updated with the same interval bookkeeping as the scalar
-    monitor but for all of the engine's lanes in one {!Batch.sample} call
-    (a single {!Engine.read_slot_mask} read per valid output covers every
-    lane's truthiness). On a scalar engine it degrades to one lane and
-    matches the scalar monitor exactly. *)
-module Batch : sig
-  type t
-
-  val create : Engine.t -> Sonar_ir.Instrument.point_monitor list -> t
-  val lanes : t -> int
-  val set_window : t -> start:int -> stop:int -> unit
-  val clear_window : t -> unit
-
-  val sample : t -> unit
-  (** Read the engine's monitor outputs for the current cycle, every lane. *)
-
-  val states : t -> lane:int -> point_state list
-  (** One lane's per-point states, in the same order as the scalar
-      {!val-states}. *)
-
-  val find : t -> lane:int -> string -> point_state option
-end

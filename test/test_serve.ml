@@ -208,6 +208,41 @@ let test_server_stop () =
     | exception Unix.Unix_error _ -> true
     | _ -> false)
 
+(* A scraper that resets the connection mid-response must not take down
+   the process. The client half-closes after its request (the server's
+   socket enters CLOSE_WAIT), then resets while the server is still
+   writing a multi-MiB body: the server's next write fails with EPIPE,
+   which raises SIGPIPE — fatal by default, so the follow-up request would
+   never run. *)
+let test_client_reset_mid_response () =
+  let big = String.make (8 * 1024 * 1024) 'x' in
+  let responding = Atomic.make false in
+  let handler path =
+    if path = "/big" then begin
+      Atomic.set responding true;
+      Some (Serve.ok_text big)
+    end
+    else handler_fixture () path
+  in
+  let server = Serve.start ~port:0 handler in
+  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
+  let port = Serve.port server in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* a small receive window keeps the server blocked mid-body *)
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let req = "GET /big HTTP/1.1\r\nHost: test\r\n\r\n" in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  while not (Atomic.get responding) do
+    Unix.sleepf 0.001
+  done;
+  Unix.sleepf 0.05;
+  Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+  Unix.close fd;
+  checki "healthz still answers after a reset" 200
+    (status_of (http_request ~port "/healthz"))
+
 let () =
   Alcotest.run "sonar_serve"
     [
@@ -225,5 +260,7 @@ let () =
           Alcotest.test_case "lifecycle over loopback" `Quick
             test_server_lifecycle;
           Alcotest.test_case "stop" `Quick test_server_stop;
+          Alcotest.test_case "client reset mid-response" `Quick
+            test_client_reset_mid_response;
         ] );
     ]
