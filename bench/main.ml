@@ -403,10 +403,15 @@ let mitigation () =
 (* ------------------------------------------------------------------ *)
 (* Parallel execution: wall-clock jobs=1 vs jobs=N, determinism check.  *)
 
+(* The speedup campaign is sized on its own, not from [fuzz_iterations]:
+   each timed sample must be long enough (at least ~1 s at jobs=1) that
+   host noise does not swamp the jobs=1 / jobs=N ratio. *)
+let speedup_iterations = max 2000 fuzz_iterations
+
 let speedup () =
   section "speedup" "Parallel fuzzing wall-clock: jobs x chunk x checkpoint sweep";
   let cfg = Sonar_uarch.Config.boom in
-  let iters = fuzz_iterations in
+  let iters = speedup_iterations in
   let batch = Sonar.Fuzzer.default_batch in
   let jobs_n = max 2 (Sonar.Domain_pool.default_jobs ()) in
   let host_cores = Domain.recommended_domain_count () in

@@ -20,6 +20,13 @@ type t = {
   mutable tick : int;
   (* Per set: last few evicted tags with the evicting fill's seq (S12). *)
   evicted : (int * int64, int * bool) Hashtbl.t;
+  (* Sets [fill] has touched since [reset], as a stack ([touched], first
+     [n_touched] entries) plus a per-set membership flag.  Every valid
+     line lies in a touched set, so [reset], [capture] and [restore] walk
+     only these — their cost follows what a run uses, not the cache size. *)
+  touched : int array;
+  mutable n_touched : int;
+  is_touched : bool array;
 }
 
 let log2 n =
@@ -47,6 +54,9 @@ let create (cfg : Config.cache_cfg) =
     offset_bits = log2 cfg.line_bytes;
     tick = 0;
     evicted = Hashtbl.create 64;
+    touched = Array.make n_sets 0;
+    n_touched = 0;
+    is_touched = Array.make n_sets false;
   }
 
 let n_sets t = t.n_sets
@@ -87,9 +97,30 @@ let reconstruct_addr t set_idx tag =
     (Int64.shift_left tag (t.offset_bits + t.index_bits))
     (Int64.shift_left (Int64.of_int set_idx) t.offset_bits)
 
+let touch t set_idx =
+  if not t.is_touched.(set_idx) then begin
+    t.is_touched.(set_idx) <- true;
+    t.touched.(t.n_touched) <- set_idx;
+    t.n_touched <- t.n_touched + 1
+  end
+
+(* Invalidate every touched set and forget them all. *)
+let clear_touched t =
+  for i = 0 to t.n_touched - 1 do
+    let set_idx = t.touched.(i) in
+    t.is_touched.(set_idx) <- false;
+    Array.iter
+      (fun l ->
+        l.valid <- false;
+        l.dirty <- false)
+      t.sets.(set_idx)
+  done;
+  t.n_touched <- 0
+
 let fill t addr ~seq ~cycle ~tainted =
   let set_idx = set_index t addr in
   let set = t.sets.(set_idx) in
+  touch t set_idx;
   let tag = tag_of t addr in
   (* Reuse an existing line for the same tag, else the LRU way. *)
   let line =
@@ -138,24 +169,18 @@ let reset t =
      invalidated lines are never read before being overwritten by [fill]
      (victim selection among invalid ways ignores them), but [tick] feeds
      every line's LRU stamp, so it must rewind for reuse to be
-     bit-identical to a fresh cache. *)
-  Array.iter
-    (fun set ->
-      Array.iter
-        (fun l ->
-          l.valid <- false;
-          l.dirty <- false)
-        set)
-    t.sets;
+     bit-identical to a fresh cache.  Untouched sets hold no valid line. *)
+  clear_touched t;
   t.tick <- 0;
   Hashtbl.reset t.evicted
 
 (* Checkpoint support: capture the full observable cache state (valid
    lines only — invalid lines carry no readable state, see [reset]) into
    preallocated arrays, and restore it later.  Restore first invalidates
-   everything, then reinstalls each saved line in place, so any line
-   filled between capture and restore disappears and the LRU clock
-   rewinds — restored state is bit-identical to the captured one. *)
+   every touched set, then reinstalls each saved line in place (touching
+   its set again), so any line filled between capture and restore
+   disappears and the LRU clock rewinds — restored state is bit-identical
+   to the captured one.  Both walk only touched sets. *)
 
 type save = {
   mutable n_saved : int;
@@ -186,7 +211,8 @@ let make_save t =
 
 let capture t sv =
   let k = ref 0 in
-  for set_idx = 0 to t.n_sets - 1 do
+  for i = 0 to t.n_touched - 1 do
+    let set_idx = t.touched.(i) in
     let set = t.sets.(set_idx) in
     for way = 0 to t.ways - 1 do
       let l = set.(way) in
@@ -206,8 +232,9 @@ let capture t sv =
   sv.s_evicted <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.evicted []
 
 let restore t sv =
-  Array.iter (fun set -> Array.iter (fun l -> l.valid <- false) set) t.sets;
+  clear_touched t;
   for i = 0 to sv.n_saved - 1 do
+    touch t sv.s_set.(i);
     let l = t.sets.(sv.s_set.(i)).(sv.s_way.(i)) in
     l.tag <- sv.s_tag.(i);
     l.valid <- true;

@@ -44,7 +44,9 @@ val reset : t -> unit
     LRU clock rewound, eviction history cleared) without reallocating the
     line arrays. A reset cache behaves bit-identically to a fresh
     {!create} of the same configuration — the property the reusable
-    {!Machine.Ctx} run contexts rely on. *)
+    {!Machine.Ctx} run contexts rely on. Like {!capture} and {!restore},
+    it walks only the sets {!fill} has touched since the last reset, so
+    its cost follows what a run used, not the cache size. *)
 
 type save
 (** Preallocated checkpoint buffer sized for one cache's line arrays. *)

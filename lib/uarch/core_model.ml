@@ -14,14 +14,18 @@ type uop = {
   transient : bool;
   secret_dep : bool;
   id : int;
-  mutable state : uop_state;
-  mutable complete_at : int;
-  mutable dispatch_cycle : int;
-  mutable mispredicted : bool;
-  mutable resolved_target : int64;  (* actual target, for predictor training *)
-  mutable tainted : bool;
+  (* The next three are fixed when [step_dispatch] moves the uop into the
+     ROB. *)
+  dispatch_cycle : int;
+  tainted : bool;
       (* secret-dependent, directly (static region / transient) or through
          a register data dependency resolved at dispatch *)
+  producers : int list;
+      (* ids of the ROB uops producing its non-x0 sources, at dispatch *)
+  mutable state : uop_state;
+  mutable complete_at : int;
+  mutable mispredicted : bool;
+  mutable resolved_target : int64;  (* actual target, for predictor training *)
 }
 
 type fetch_source = Arch | Trans of Golden.effect array * int
@@ -251,6 +255,7 @@ let make_uop t eff trace_pos transient ~cycle =
       transient;
       secret_dep = is_secret_dep t eff;
       id;
+      producers = [];
       state = Dispatched;
       complete_at = max_int;
       dispatch_cycle = cycle;
@@ -272,7 +277,8 @@ let step_fetch t ~cycle =
     let fetched_any = ref false in
     let fetched_tainted = ref false in
     let stop = ref false in
-    while (not !stop) && !budget > 0 && fb_count t < t.cfg.fetch_buffer do
+    let fb_n = ref (fb_count t) in
+    while (not !stop) && !budget > 0 && !fb_n < t.cfg.fetch_buffer do
       match peek_next t with
       | None -> stop := true
       | Some (eff, pos, transient) ->
@@ -286,6 +292,7 @@ let step_fetch t ~cycle =
             Cpoint.request ~tainted:u.tainted t.reg t.p_fb_enq ~source:slot
               ~data:eff.pc;
             t.fb <- t.fb @ [ u ];
+            incr fb_n;
             decr budget;
             fetched_any := true;
             if u.tainted then fetched_tainted := true;
@@ -341,66 +348,6 @@ let step_fetch t ~cycle =
 
 (* --- Dispatch --- *)
 
-let dests_in_flight t =
-  List.length
-    (List.filter (fun u -> Option.is_some (Instr.dest u.eff.Golden.instr)) t.rob)
-
-let loads_in_flight t =
-  List.length (List.filter (fun u -> Instr.is_load u.eff.Golden.instr) t.rob)
-
-let stores_in_flight t =
-  List.length (List.filter (fun u -> Instr.is_store u.eff.Golden.instr) t.rob)
-  + List.length t.stbuf
-
-let step_dispatch t ~cycle =
-  let phys_budget = max 8 (t.cfg.int_phys_regs - 32) in
-  let budget = ref t.cfg.decode_width in
-  let stop = ref false in
-  while (not !stop) && !budget > 0 do
-    match t.fb with
-    | [] -> stop := true
-    | u :: rest ->
-        let rob_full = List.length t.rob >= t.cfg.rob_entries in
-        let phys_full =
-          Option.is_some (Instr.dest u.eff.Golden.instr)
-          && dests_in_flight t >= phys_budget
-        in
-        let ldq_full =
-          Instr.is_load u.eff.Golden.instr
-          &&
-          match t.cfg.ldq_entries with
-          | Some n -> loads_in_flight t >= n
-          | None -> false
-        in
-        let stq_full =
-          Instr.is_store u.eff.Golden.instr
-          && stores_in_flight t >= t.cfg.stq_entries
-        in
-        if rob_full || phys_full || ldq_full || stq_full then stop := true
-        else begin
-          t.fb <- rest;
-          u.dispatch_cycle <- cycle;
-          (* Forward dataflow taint: dispatch happens in program order. *)
-          u.tainted <-
-            u.tainted
-            || List.exists
-                 (fun r -> t.taint_reg.(Reg.to_int r))
-                 (Instr.sources u.eff.Golden.instr);
-          (match Instr.dest u.eff.Golden.instr with
-          | Some d -> t.taint_reg.(Reg.to_int d) <- u.tainted
-          | None -> ());
-          t.rob <- t.rob @ [ u ];
-          let slot = t.cfg.decode_width - !budget in
-          Cpoint.request ~tainted:u.tainted t.reg t.p_rob_enq ~source:slot
-            ~data:u.eff.Golden.pc;
-          decr budget;
-          if t.drives_window && u.secret_dep && not (Cpoint.window_open t.reg)
-          then Cpoint.open_window t.reg
-        end
-  done
-
-(* --- Operand readiness --- *)
-
 let producer_of t u reg_src =
   (* Youngest older uop in the ROB writing [reg_src]. *)
   List.fold_left
@@ -415,20 +362,91 @@ let producer_of t u reg_src =
       else acc)
     None t.rob
 
+let step_dispatch t ~cycle =
+  if t.fb <> [] then begin
+    let phys_budget = max 8 (t.cfg.int_phys_regs - 32) in
+    (* Occupancy, counted once and bumped per dispatched uop. *)
+    let rob_n = ref 0 and dests = ref 0 and loads = ref 0 in
+    let stores = ref (List.length t.stbuf) in
+    let count (u : uop) =
+      let i = u.eff.Golden.instr in
+      incr rob_n;
+      if Option.is_some (Instr.dest i) then incr dests;
+      if Instr.is_load i then incr loads;
+      if Instr.is_store i then incr stores
+    in
+    List.iter count t.rob;
+    let budget = ref t.cfg.decode_width in
+    let stop = ref false in
+    while (not !stop) && !budget > 0 do
+      match t.fb with
+      | [] -> stop := true
+      | u :: rest ->
+          let i = u.eff.Golden.instr in
+          let rob_full = !rob_n >= t.cfg.rob_entries in
+          let phys_full = Option.is_some (Instr.dest i) && !dests >= phys_budget in
+          let ldq_full =
+            Instr.is_load i
+            &&
+            match t.cfg.ldq_entries with Some n -> !loads >= n | None -> false
+          in
+          let stq_full = Instr.is_store i && !stores >= t.cfg.stq_entries in
+          if rob_full || phys_full || ldq_full || stq_full then stop := true
+          else begin
+            t.fb <- rest;
+            (* Forward dataflow taint: dispatch happens in program order. *)
+            let tainted =
+              u.tainted
+              || List.exists (fun r -> t.taint_reg.(Reg.to_int r)) (Instr.sources i)
+            in
+            (* Operand links, resolved once as [u] enters the ROB.  Later
+               scans of the ROB would find the same producer or none at
+               all: dispatch is in order, so no older writer arrives after
+               [u]; a producer that has committed took every older writer
+               with it (operand ready); a squashed producer takes [u] with
+               it. *)
+            let producers =
+              List.filter_map
+                (fun r ->
+                  if Reg.equal r Reg.x0 then None
+                  else Option.map (fun v -> v.id) (producer_of t u r))
+                (Instr.sources i)
+            in
+            let u = { u with dispatch_cycle = cycle; tainted; producers } in
+            Hashtbl.replace t.by_id u.id u;
+            (match Instr.dest i with
+            | Some d -> t.taint_reg.(Reg.to_int d) <- u.tainted
+            | None -> ());
+            t.rob <- t.rob @ [ u ];
+            count u;
+            let slot = t.cfg.decode_width - !budget in
+            Cpoint.request ~tainted:u.tainted t.reg t.p_rob_enq ~source:slot
+              ~data:u.eff.Golden.pc;
+            decr budget;
+            if t.drives_window && u.secret_dep && not (Cpoint.window_open t.reg)
+            then Cpoint.open_window t.reg
+          end
+    done
+  end
+
+(* --- Operand readiness --- *)
+
 let value_ready v ~cycle =
   match v.state with
   | Exec_done | Done -> v.complete_at <= cycle
   | Dispatched | Issued | Wait_mem -> false
 
-let operands_ready t u ~cycle =
+(* Every linked producer satisfies [ready]; one missing from [by_id] has
+   committed. *)
+let producers_satisfy t u ready =
   List.for_all
-    (fun r ->
-      Reg.equal r Reg.x0
-      ||
-      match producer_of t u r with
-      | Some v -> value_ready v ~cycle
-      | None -> true)
-    (Instr.sources u.eff.Golden.instr)
+    (fun id ->
+      match Hashtbl.find t.by_id id with
+      | v -> ready v
+      | exception Not_found -> true)
+    u.producers
+
+let operands_ready t u ~cycle = producers_satisfy t u (value_ready ~cycle)
 
 (* Older store to the same 8-byte word: forwarding source or hazard. *)
 let older_store_same_addr t u =
@@ -864,6 +882,14 @@ let fetch_bound t ~cycle =
    riding out the operand-dependency chain in front of it (the testcase
    template's coupling chains delay exactly this readiness).
 
+   [could_issue] follows the operand links fixed at dispatch
+   ([step_dispatch]), as [operands_ready] does: the uop could issue once
+   every linked producer still in [by_id] is possibly ready; a linked
+   producer gone from [by_id] has committed, so its value is ready.  The
+   links stay exact because no older writer dispatches after the consumer,
+   commit removes uops from the old end of the ROB and a squash from the
+   young end.
+
    [producer_possibly_ready] predicts [value_ready] as evaluated inside
    [step_issue], which runs {e after} complete/writeback within the cycle:
    an [Issued] producer with [complete_at <= cycle] completes first (an
@@ -887,14 +913,7 @@ let producer_possibly_ready t v ~cycle =
   | Dispatched -> false
 
 let could_issue t u ~cycle =
-  List.for_all
-    (fun r ->
-      Reg.equal r Reg.x0
-      ||
-      match producer_of t u r with
-      | Some v -> producer_possibly_ready t v ~cycle
-      | None -> true)
-    (Instr.sources u.eff.Golden.instr)
+  producers_satisfy t u (producer_possibly_ready t ~cycle)
 
 let rob_issue_reaches t ~fork ~cycle =
   List.exists

@@ -334,17 +334,17 @@ type snapshot = {
   s_digest : int;
 }
 
-let snapshot p =
+let snapshot_with p triggered =
   {
     point_name = p.name;
     s_hits = Array.copy p.hits;
     s_min_pair = p.min_pair;
     s_min_self = p.min_self;
-    s_triggered = triggered_subs p;
+    s_triggered = triggered;
     s_digest = p.digest;
   }
 
-let snapshots reg = List.map snapshot (points reg)
+let snapshot p = snapshot_with p (triggered_subs p)
 
 let opt_str = function None -> "-" | Some v -> string_of_int v
 
