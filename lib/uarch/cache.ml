@@ -1,7 +1,7 @@
 type fill_info = { filler_seq : int; fill_cycle : int; filler_tainted : bool }
 
 type line = {
-  mutable tag : int64;
+  mutable tag : int;
   mutable valid : bool;
   mutable dirty : bool;
   mutable lru : int;
@@ -18,8 +18,9 @@ type t = {
   index_bits : int;
   offset_bits : int;
   mutable tick : int;
-  (* Per set: last few evicted tags with the evicting fill's seq (S12). *)
-  evicted : (int * int64, int * bool) Hashtbl.t;
+  (* Evicted lines, keyed by [evict_key], with the evicting fill's seq and
+     taint (S12). *)
+  evicted : (int * bool) Int_tbl.t;
   (* Sets [fill] has touched since [reset], as a stack ([touched], first
      [n_touched] entries) plus a per-set membership flag.  Every valid
      line lies in a touched set, so [reset], [capture] and [restore] walk
@@ -33,6 +34,8 @@ let log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
   go 0 n
 
+let line_shift (cfg : Config.cache_cfg) = log2 cfg.line_bytes
+
 let create (cfg : Config.cache_cfg) =
   let total = cfg.size_kb * 1024 in
   let n_sets = max 1 (total / (cfg.ways * cfg.line_bytes)) in
@@ -41,7 +44,7 @@ let create (cfg : Config.cache_cfg) =
       Array.init n_sets (fun _ ->
           Array.init cfg.ways (fun _ ->
               {
-                tag = 0L;
+                tag = 0;
                 valid = false;
                 dirty = false;
                 lru = 0;
@@ -51,9 +54,9 @@ let create (cfg : Config.cache_cfg) =
     n_sets;
     ways = cfg.ways;
     index_bits = log2 n_sets;
-    offset_bits = log2 cfg.line_bytes;
+    offset_bits = line_shift cfg;
     tick = 0;
-    evicted = Hashtbl.create 64;
+    evicted = Int_tbl.create 64;
     touched = Array.make n_sets 0;
     n_touched = 0;
     is_touched = Array.make n_sets false;
@@ -67,7 +70,16 @@ let set_index t addr =
        (Int64.shift_right_logical addr t.offset_bits)
        (Int64.of_int (t.n_sets - 1)))
 
-let tag_of t addr = Int64.shift_right_logical addr (t.offset_bits + t.index_bits)
+(* Tags and line numbers as native ints: a 64-bit address shifted right
+   by [offset_bits] (6 for 64-byte lines) fits in 58 bits, so the
+   conversion is exact. *)
+let tag_of t addr =
+  Int64.to_int (Int64.shift_right_logical addr (t.offset_bits + t.index_bits))
+
+let line_no t addr = Int64.to_int (Int64.shift_right_logical addr t.offset_bits)
+
+(* One int per (set, tag) pair. *)
+let evict_key t set_idx tag = (tag * t.n_sets) + set_idx
 
 let line_addr t addr =
   Int64.logand addr (Int64.lognot (Int64.of_int (t.line_bytes - 1)))
@@ -77,7 +89,7 @@ let find_line t addr =
   let tag = tag_of t addr in
   let rec go i =
     if i >= t.ways then None
-    else if set.(i).valid && Int64.equal set.(i).tag tag then Some set.(i)
+    else if set.(i).valid && set.(i).tag = tag then Some set.(i)
     else go (i + 1)
   in
   go 0
@@ -94,7 +106,7 @@ let lookup t addr =
 
 let reconstruct_addr t set_idx tag =
   Int64.logor
-    (Int64.shift_left tag (t.offset_bits + t.index_bits))
+    (Int64.shift_left (Int64.of_int tag) (t.offset_bits + t.index_bits))
     (Int64.shift_left (Int64.of_int set_idx) t.offset_bits)
 
 let touch t set_idx =
@@ -136,8 +148,8 @@ let fill t addr ~seq ~cycle ~tainted =
         !victim
   in
   let evicted =
-    if line.valid && not (Int64.equal line.tag tag) then begin
-      Hashtbl.replace t.evicted (set_idx, line.tag) (seq, tainted);
+    if line.valid && line.tag <> tag then begin
+      Int_tbl.replace t.evicted (evict_key t set_idx line.tag) (seq, tainted);
       Some
         { victim_addr = reconstruct_addr t set_idx line.tag; was_dirty = line.dirty }
     end
@@ -162,7 +174,7 @@ let is_dirty t addr =
   match find_line t addr with Some line -> line.dirty | None -> false
 
 let recently_evicted t addr =
-  Hashtbl.find_opt t.evicted (set_index t addr, tag_of t addr)
+  Int_tbl.find_opt t.evicted (evict_key t (set_index t addr) (tag_of t addr))
 
 let reset t =
   (* Restores the cold-start state exactly: stale [tag]/[lru]/[info] on
@@ -172,7 +184,7 @@ let reset t =
      bit-identical to a fresh cache.  Untouched sets hold no valid line. *)
   clear_touched t;
   t.tick <- 0;
-  Hashtbl.reset t.evicted
+  Int_tbl.reset t.evicted
 
 (* Checkpoint support: capture the full observable cache state (valid
    lines only — invalid lines carry no readable state, see [reset]) into
@@ -186,12 +198,12 @@ type save = {
   mutable n_saved : int;
   s_set : int array;
   s_way : int array;
-  s_tag : int64 array;
+  s_tag : int array;
   s_dirty : bool array;
   s_lru : int array;
   s_info : fill_info array;
   mutable s_tick : int;
-  mutable s_evicted : ((int * int64) * (int * bool)) list;
+  mutable s_evicted : (int * (int * bool)) list;
 }
 
 let make_save t =
@@ -200,7 +212,7 @@ let make_save t =
     n_saved = 0;
     s_set = Array.make n 0;
     s_way = Array.make n 0;
-    s_tag = Array.make n 0L;
+    s_tag = Array.make n 0;
     s_dirty = Array.make n false;
     s_lru = Array.make n 0;
     s_info =
@@ -229,7 +241,7 @@ let capture t sv =
   done;
   sv.n_saved <- !k;
   sv.s_tick <- t.tick;
-  sv.s_evicted <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.evicted []
+  sv.s_evicted <- Int_tbl.fold (fun k v acc -> (k, v) :: acc) t.evicted []
 
 let restore t sv =
   clear_touched t;
@@ -243,5 +255,5 @@ let restore t sv =
     l.info <- sv.s_info.(i)
   done;
   t.tick <- sv.s_tick;
-  Hashtbl.reset t.evicted;
-  List.iter (fun (k, v) -> Hashtbl.replace t.evicted k v) sv.s_evicted
+  Int_tbl.reset t.evicted;
+  List.iter (fun (k, v) -> Int_tbl.replace t.evicted k v) sv.s_evicted

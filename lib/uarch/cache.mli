@@ -20,6 +20,13 @@ val set_index : t -> int64 -> int
 val line_addr : t -> int64 -> int64
 (** Align an address down to its cache line. *)
 
+val line_shift : Config.cache_cfg -> int
+(** [log2 line_bytes]: an address shifted right by it is its line number. *)
+
+val line_no : t -> int64 -> int
+(** The line number of an address, as a native int (exact for lines of
+    at least 4 bytes: the shifted address fits in 62 bits). *)
+
 val probe : t -> int64 -> bool
 (** Hit test without touching replacement state. *)
 

@@ -14,14 +14,18 @@ type uop = {
   transient : bool;
   secret_dep : bool;
   id : int;
-  (* The next three are fixed when [step_dispatch] moves the uop into the
-     ROB. *)
-  dispatch_cycle : int;
-  tainted : bool;
+  (* Decode facts of [eff.instr], fixed at fetch. *)
+  dest : int;  (* destination register, -1 for none (or x0) *)
+  is_load : bool;
+  is_store : bool;
+  (* The next three are set once, when [step_dispatch] moves the uop into
+     the ROB. *)
+  mutable dispatch_cycle : int;
+  mutable tainted : bool;
       (* secret-dependent, directly (static region / transient) or through
          a register data dependency resolved at dispatch *)
-  producers : int list;
-      (* ids of the ROB uops producing its non-x0 sources, at dispatch *)
+  mutable producers : uop list;
+      (* the ROB uops producing its non-x0 sources, at dispatch *)
   mutable state : uop_state;
   mutable complete_at : int;
   mutable mispredicted : bool;
@@ -53,14 +57,14 @@ type t = {
   mutable fetch_source : fetch_source;
   mutable fetch_stall_until : int;
   mutable fetch_halted : bool;
-  mutable blocked_on_branch : int option;  (* uop id *)
-  line_avail : (int64, int) Hashtbl.t;
-  line_pending : (int64, unit) Hashtbl.t;
+  mutable blocked_on_branch : int;  (* uop id, -1 for none *)
+  line_shift : int;  (* ICache line number = pc lsr line_shift *)
+  lines : int Int_tbl.t;
+      (* touched line number -> cycle available, or [refill_pending] *)
   (* Pipeline structures (oldest first). *)
-  mutable fb : uop list;
-  mutable rob : uop list;
-  mutable stbuf : stbuf_entry list;
-  by_id : (int, uop) Hashtbl.t;
+  fb : uop Ring.t;
+  rob : uop Ring.t;
+  stbuf : stbuf_entry Ring.t;
   taint_reg : bool array;  (* architectural-register taint, dispatch order *)
   mutable next_id : int;
   pool : Exec_unit.t;
@@ -81,6 +85,39 @@ type t = {
   p_ldq_stq : Cpoint.t;
   p_stq_drain : Cpoint.t;
 }
+
+(* Fills the vacated slots of the pipeline rings. *)
+let dummy_uop =
+  {
+    eff =
+      {
+        Golden.seq = -1;
+        index = -1;
+        pc = 0L;
+        instr = Instr.Fence;
+        wb = None;
+        mem = None;
+        taken = None;
+        fault = None;
+        transient = false;
+      };
+    trace_pos = -1;
+    transient = false;
+    secret_dep = false;
+    id = -1;
+    dest = -1;
+    is_load = false;
+    is_store = false;
+    dispatch_cycle = -1;
+    tainted = false;
+    producers = [];
+    state = Done;
+    complete_at = max_int;
+    mispredicted = false;
+    resolved_target = 0L;
+  }
+
+let dummy_entry = { sb_uop = dummy_uop; sb_state = Drain_new }
 
 let count_secret trace range =
   match range with
@@ -118,13 +155,12 @@ let create cfg reg ms ~core_id ~outcome ~secret_range ~drives_window =
       fetch_source = Arch;
       fetch_stall_until = 0;
       fetch_halted = false;
-      blocked_on_branch = None;
-      line_avail = Hashtbl.create 32;
-      line_pending = Hashtbl.create 8;
-      fb = [];
-      rob = [];
-      stbuf = [];
-      by_id = Hashtbl.create 64;
+      blocked_on_branch = -1;
+      line_shift = Cache.line_shift cfg.icache;
+      lines = Int_tbl.create 32;
+      fb = Ring.create dummy_uop;
+      rob = Ring.create dummy_uop;
+      stbuf = Ring.create dummy_entry;
       taint_reg = Array.make 32 false;
       next_id = 0;
       pool = Exec_unit.create cfg reg ~core:core_id;
@@ -172,13 +208,11 @@ let prepare t ~outcome ~secret_range =
   t.fetch_source <- Arch;
   t.fetch_stall_until <- 0;
   t.fetch_halted <- false;
-  t.blocked_on_branch <- None;
-  Hashtbl.reset t.line_avail;
-  Hashtbl.reset t.line_pending;
-  t.fb <- [];
-  t.rob <- [];
-  t.stbuf <- [];
-  Hashtbl.reset t.by_id;
+  t.blocked_on_branch <- -1;
+  Int_tbl.reset t.lines;
+  Ring.clear t.fb;
+  Ring.clear t.rob;
+  Ring.clear t.stbuf;
   Array.fill t.taint_reg 0 (Array.length t.taint_reg) false;
   t.next_id <- 0;
   Exec_unit.reset t.pool;
@@ -189,19 +223,20 @@ let prepare t ~outcome ~secret_range =
   t.pending_early_squash <- None;
   if t.drives_window && secret_range = None then Cpoint.open_window t.reg
 
-let line_of t pc =
-  Int64.logand pc (Int64.lognot (Int64.of_int (t.cfg.icache.line_bytes - 1)))
+let line_of t pc = Int64.to_int (Int64.shift_right_logical pc t.line_shift)
 
 (* --- Fetch --- *)
 
-let peek_next t =
+let has_next t =
   match t.fetch_source with
-  | Arch ->
-      if t.fetch_pos < Array.length t.trace then
-        Some (t.trace.(t.fetch_pos), t.fetch_pos, false)
-      else None
-  | Trans (cont, idx) ->
-      if idx < Array.length cont then Some (cont.(idx), -1, true) else None
+  | Arch -> t.fetch_pos < Array.length t.trace
+  | Trans (cont, idx) -> idx < Array.length cont
+
+(* The effect fetch consumes next; requires [has_next]. *)
+let next_eff t =
+  match t.fetch_source with
+  | Arch -> t.trace.(t.fetch_pos)
+  | Trans (cont, idx) -> cont.(idx)
 
 let consume_next t =
   match t.fetch_source with
@@ -219,213 +254,232 @@ let next_pc_after t pos (eff : Golden.effect) =
   | Arch when pos >= 0 && pos + 1 < Array.length t.trace -> t.trace.(pos + 1).pc
   | Arch | Trans _ -> Int64.add eff.pc 4L
 
-let line_ready t line ~cycle ~tainted =
-  match Hashtbl.find_opt t.line_avail line with
-  | Some c -> c <= cycle
-  | None ->
-      if Hashtbl.mem t.line_pending line then begin
-        match Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:line with
-        | Some c ->
-            Hashtbl.remove t.line_pending line;
-            Hashtbl.replace t.line_avail line c;
-            c <= cycle
-        | None -> false
-      end
-      else begin
-        match Memsys.ifetch t.ms ~core:t.core_id ~addr:line ~cycle ~tainted with
-        | Memsys.Ready c ->
-            Hashtbl.replace t.line_avail line c;
-            c <= cycle
-        | Memsys.Waiting ->
-            Cpoint.request ~tainted t.reg t.p_icache_mshr ~source:0 ~data:line;
-            Hashtbl.replace t.line_pending line ();
-            false
-        | Memsys.Blocked _ -> false
-      end
+let refill_pending = -1
 
-let fb_count t = List.length t.fb
+let line_ready t line ~cycle ~tainted =
+  match Int_tbl.find t.lines line with
+  | c when c <> refill_pending -> c <= cycle
+  | _ -> (
+      match Memsys.ifetch_ready t.ms ~core:t.core_id ~line with
+      | Some c ->
+          Int_tbl.replace t.lines line c;
+          c <= cycle
+      | None -> false)
+  | exception Not_found -> (
+      (* First touch: the line address, boxed only on this path. *)
+      let addr = Int64.shift_left (Int64.of_int line) t.line_shift in
+      match Memsys.ifetch t.ms ~core:t.core_id ~addr ~cycle ~tainted with
+      | Memsys.Ready c ->
+          Int_tbl.replace t.lines line c;
+          c <= cycle
+      | Memsys.Waiting ->
+          Cpoint.request ~tainted t.reg t.p_icache_mshr ~source:0
+            ~data:(Int64.to_int addr);
+          Int_tbl.replace t.lines line refill_pending;
+          false
+      | Memsys.Blocked _ -> false)
 
 let make_uop t eff trace_pos transient ~cycle =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let u =
-    {
-      eff;
-      trace_pos;
-      transient;
-      secret_dep = is_secret_dep t eff;
-      id;
-      producers = [];
-      state = Dispatched;
-      complete_at = max_int;
-      dispatch_cycle = cycle;
-      mispredicted = false;
-      resolved_target = 0L;
-      tainted = is_secret_dep t eff || transient;
-    }
-  in
-  Hashtbl.replace t.by_id id u;
-  u
+  let i = eff.Golden.instr in
+  {
+    eff;
+    trace_pos;
+    transient;
+    secret_dep = is_secret_dep t eff;
+    id;
+    dest = (match Instr.dest i with Some d -> Reg.to_int d | None -> -1);
+    is_load = Instr.is_load i;
+    is_store = Instr.is_store i;
+    producers = [];
+    state = Dispatched;
+    complete_at = max_int;
+    dispatch_cycle = cycle;
+    mispredicted = false;
+    resolved_target = 0L;
+    tainted = is_secret_dep t eff || transient;
+  }
 
 let step_fetch t ~cycle =
   if
     t.fetch_halted || cycle < t.fetch_stall_until
-    || t.blocked_on_branch <> None
+    || t.blocked_on_branch >= 0
   then ()
   else begin
     let budget = ref t.cfg.fetch_width in
     let fetched_any = ref false in
     let fetched_tainted = ref false in
     let stop = ref false in
-    let fb_n = ref (fb_count t) in
+    let fb_n = ref (Ring.length t.fb) in
+    (* A line found ready stays ready for the rest of this call. *)
+    let ready_line = ref (-1) in
     while (not !stop) && !budget > 0 && !fb_n < t.cfg.fetch_buffer do
-      match peek_next t with
-      | None -> stop := true
-      | Some (eff, pos, transient) ->
-          let static_taint = is_secret_dep t eff || transient in
-          let line = line_of t eff.pc in
-          if not (line_ready t line ~cycle ~tainted:static_taint) then stop := true
-          else begin
-            consume_next t;
-            let u = make_uop t eff pos transient ~cycle in
-            let slot = t.cfg.fetch_width - !budget in
-            Cpoint.request ~tainted:u.tainted t.reg t.p_fb_enq ~source:slot
-              ~data:eff.pc;
-            t.fb <- t.fb @ [ u ];
-            incr fb_n;
-            decr budget;
-            fetched_any := true;
-            if u.tainted then fetched_tainted := true;
-            (* Branch prediction. *)
-            (match eff.instr with
-            | Instr.Branch (_, _, _, off) ->
-                Cpoint.request ~tainted:u.tainted t.reg t.p_bpd_update ~source:0
-                  ~data:eff.pc;
-                let taken = Option.value ~default:false eff.taken in
-                let target = Int64.add eff.pc (Int64.of_int off) in
-                u.resolved_target <- target;
-                let correct = Branch_pred.predict t.bp ~pc:eff.pc ~taken ~target in
-                if not correct then begin
-                  u.mispredicted <- true;
-                  t.blocked_on_branch <- Some u.id;
-                  stop := true
-                end
-            | Instr.Jal (_, off) ->
-                let target = Int64.add eff.pc (Int64.of_int off) in
-                u.resolved_target <- target;
-                if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
-                  u.mispredicted <- true;
-                  t.blocked_on_branch <- Some u.id;
-                  stop := true
-                end
-            | Instr.Jalr _ ->
-                let target = next_pc_after t pos eff in
-                u.resolved_target <- target;
-                if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
-                  u.mispredicted <- true;
-                  t.blocked_on_branch <- Some u.id;
-                  stop := true
-                end
-            | _ -> ());
-            (* Architectural faults fork the transient continuation. *)
-            (if (not transient) && pos >= 0 then
-               match eff.fault with
-               | Some (Golden.Load_access_fault | Golden.Store_access_fault) -> (
-                   match Hashtbl.find_opt t.transients pos with
-                   | Some cont -> t.fetch_source <- Trans (cont, 0)
-                   | None -> ())
-               | Some _ | None -> ());
-            if eff.instr = Instr.Ebreak && not transient then begin
-              t.fetch_halted <- true;
-              stop := true
-            end
+      if not (has_next t) then stop := true
+      else begin
+        let eff = next_eff t in
+        let transient = match t.fetch_source with Trans _ -> true | Arch -> false in
+        let pos = if transient then -1 else t.fetch_pos in
+        let static_taint = is_secret_dep t eff || transient in
+        let line = line_of t eff.pc in
+        if line <> !ready_line && not (line_ready t line ~cycle ~tainted:static_taint)
+        then stop := true
+        else begin
+          ready_line := line;
+          consume_next t;
+          let u = make_uop t eff pos transient ~cycle in
+          let slot = t.cfg.fetch_width - !budget in
+          Cpoint.request ~tainted:u.tainted t.reg t.p_fb_enq ~source:slot
+            ~data:(Int64.to_int eff.pc);
+          Ring.push t.fb u;
+          incr fb_n;
+          decr budget;
+          fetched_any := true;
+          if u.tainted then fetched_tainted := true;
+          (* Branch prediction. *)
+          (match eff.instr with
+          | Instr.Branch (_, _, _, off) ->
+              Cpoint.request ~tainted:u.tainted t.reg t.p_bpd_update ~source:0
+                ~data:(Int64.to_int eff.pc);
+              let taken = Option.value ~default:false eff.taken in
+              let target = Int64.add eff.pc (Int64.of_int off) in
+              u.resolved_target <- target;
+              let correct = Branch_pred.predict t.bp ~pc:eff.pc ~taken ~target in
+              if not correct then begin
+                u.mispredicted <- true;
+                t.blocked_on_branch <- u.id;
+                stop := true
+              end
+          | Instr.Jal (_, off) ->
+              let target = Int64.add eff.pc (Int64.of_int off) in
+              u.resolved_target <- target;
+              if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
+                u.mispredicted <- true;
+                t.blocked_on_branch <- u.id;
+                stop := true
+              end
+          | Instr.Jalr _ ->
+              let target = next_pc_after t pos eff in
+              u.resolved_target <- target;
+              if not (Branch_pred.predict_jump t.bp ~pc:eff.pc ~target) then begin
+                u.mispredicted <- true;
+                t.blocked_on_branch <- u.id;
+                stop := true
+              end
+          | _ -> ());
+          (* Architectural faults fork the transient continuation. *)
+          (if (not transient) && pos >= 0 then
+             match eff.fault with
+             | Some (Golden.Load_access_fault | Golden.Store_access_fault) -> (
+                 match Hashtbl.find_opt t.transients pos with
+                 | Some cont -> t.fetch_source <- Trans (cont, 0)
+                 | None -> ())
+             | Some _ | None -> ());
+          if (match eff.instr with Instr.Ebreak -> true | _ -> false)
+             && not transient
+          then begin
+            t.fetch_halted <- true;
+            stop := true
           end
+        end
+      end
     done;
     if !fetched_any then
       Cpoint.request ~tainted:!fetched_tainted t.reg t.p_pc_sel ~source:0
-        ~data:(Int64.of_int cycle)
+        ~data:cycle
   end
 
 (* --- Dispatch --- *)
 
-let producer_of t u reg_src =
-  (* Youngest older uop in the ROB writing [reg_src]. *)
-  List.fold_left
-    (fun acc v ->
-      if v.id < u.id then
-        match Instr.dest v.eff.Golden.instr with
-        | Some d when Reg.equal d reg_src -> (
-            match acc with
-            | Some best when best.id > v.id -> acc
-            | Some _ | None -> Some v)
-        | Some _ | None -> acc
-      else acc)
-    None t.rob
+(* The youngest ROB uop older than [u] writing register [r], searching
+   down from ROB index [k]; [dummy_uop] if none. *)
+let rec producer_of t u r k =
+  if k < 0 then dummy_uop
+  else begin
+    let v = Ring.get t.rob k in
+    if v.id < u.id && v.dest = r then v else producer_of t u r (k - 1)
+  end
+
+(* The ROB uop with id [id] among ROB indices [[lo, hi)], or [dummy_uop]:
+   ids increase from the ROB head. *)
+let rec rob_search t id lo hi =
+  if lo >= hi then dummy_uop
+  else begin
+    let mid = (lo + hi) / 2 in
+    let v = Ring.get t.rob mid in
+    if v.id = id then v
+    else if v.id < id then rob_search t id (mid + 1) hi
+    else rob_search t id lo mid
+  end
+
+let rob_find t id = rob_search t id 0 (Ring.length t.rob)
 
 let step_dispatch t ~cycle =
-  if t.fb <> [] then begin
+  if not (Ring.is_empty t.fb) then begin
     let phys_budget = max 8 (t.cfg.int_phys_regs - 32) in
     (* Occupancy, counted once and bumped per dispatched uop. *)
-    let rob_n = ref 0 and dests = ref 0 and loads = ref 0 in
-    let stores = ref (List.length t.stbuf) in
+    let dests = ref 0 and loads = ref 0 in
+    let stores = ref (Ring.length t.stbuf) in
     let count (u : uop) =
-      let i = u.eff.Golden.instr in
-      incr rob_n;
-      if Option.is_some (Instr.dest i) then incr dests;
-      if Instr.is_load i then incr loads;
-      if Instr.is_store i then incr stores
+      if u.dest >= 0 then incr dests;
+      if u.is_load then incr loads;
+      if u.is_store then incr stores
     in
-    List.iter count t.rob;
+    for k = 0 to Ring.length t.rob - 1 do
+      count (Ring.get t.rob k)
+    done;
     let budget = ref t.cfg.decode_width in
     let stop = ref false in
     while (not !stop) && !budget > 0 do
-      match t.fb with
-      | [] -> stop := true
-      | u :: rest ->
-          let i = u.eff.Golden.instr in
-          let rob_full = !rob_n >= t.cfg.rob_entries in
-          let phys_full = Option.is_some (Instr.dest i) && !dests >= phys_budget in
-          let ldq_full =
-            Instr.is_load i
-            &&
-            match t.cfg.ldq_entries with Some n -> !loads >= n | None -> false
+      if Ring.is_empty t.fb then stop := true
+      else begin
+        let u = Ring.get t.fb 0 in
+        let i = u.eff.Golden.instr in
+        let rob_full = Ring.length t.rob >= t.cfg.rob_entries in
+        let phys_full = u.dest >= 0 && !dests >= phys_budget in
+        let ldq_full =
+          u.is_load
+          &&
+          match t.cfg.ldq_entries with Some n -> !loads >= n | None -> false
+        in
+        let stq_full = u.is_store && !stores >= t.cfg.stq_entries in
+        if rob_full || phys_full || ldq_full || stq_full then stop := true
+        else begin
+          Ring.pop t.fb;
+          (* Forward dataflow taint: dispatch happens in program order. *)
+          let tainted =
+            u.tainted
+            || List.exists (fun r -> t.taint_reg.(Reg.to_int r)) (Instr.sources i)
           in
-          let stq_full = Instr.is_store i && !stores >= t.cfg.stq_entries in
-          if rob_full || phys_full || ldq_full || stq_full then stop := true
-          else begin
-            t.fb <- rest;
-            (* Forward dataflow taint: dispatch happens in program order. *)
-            let tainted =
-              u.tainted
-              || List.exists (fun r -> t.taint_reg.(Reg.to_int r)) (Instr.sources i)
-            in
-            (* Operand links, resolved once as [u] enters the ROB.  Later
-               scans of the ROB would find the same producer or none at
-               all: dispatch is in order, so no older writer arrives after
-               [u]; a producer that has committed took every older writer
-               with it (operand ready); a squashed producer takes [u] with
-               it. *)
-            let producers =
-              List.filter_map
-                (fun r ->
-                  if Reg.equal r Reg.x0 then None
-                  else Option.map (fun v -> v.id) (producer_of t u r))
-                (Instr.sources i)
-            in
-            let u = { u with dispatch_cycle = cycle; tainted; producers } in
-            Hashtbl.replace t.by_id u.id u;
-            (match Instr.dest i with
-            | Some d -> t.taint_reg.(Reg.to_int d) <- u.tainted
-            | None -> ());
-            t.rob <- t.rob @ [ u ];
-            count u;
-            let slot = t.cfg.decode_width - !budget in
-            Cpoint.request ~tainted:u.tainted t.reg t.p_rob_enq ~source:slot
-              ~data:u.eff.Golden.pc;
-            decr budget;
-            if t.drives_window && u.secret_dep && not (Cpoint.window_open t.reg)
-            then Cpoint.open_window t.reg
-          end
+          (* Operand links, resolved once as [u] enters the ROB.  Later
+             scans of the ROB would find the same producer or none at
+             all: dispatch is in order, so no older writer arrives after
+             [u]; a producer that has committed took every older writer
+             with it (operand ready); a squashed producer takes [u] with
+             it. *)
+          let producers =
+            List.filter_map
+              (fun r ->
+                if Reg.equal r Reg.x0 then None
+                else
+                  let v = producer_of t u (Reg.to_int r) (Ring.length t.rob - 1) in
+                  if v == dummy_uop then None else Some v)
+              (Instr.sources i)
+          in
+          u.dispatch_cycle <- cycle;
+          u.tainted <- tainted;
+          u.producers <- producers;
+          if u.dest >= 0 then t.taint_reg.(u.dest) <- u.tainted;
+          Ring.push t.rob u;
+          count u;
+          let slot = t.cfg.decode_width - !budget in
+          Cpoint.request ~tainted:u.tainted t.reg t.p_rob_enq ~source:slot
+            ~data:(Int64.to_int u.eff.Golden.pc);
+          decr budget;
+          if t.drives_window && u.secret_dep && not (Cpoint.window_open t.reg)
+          then Cpoint.open_window t.reg
+        end
+      end
     done
   end
 
@@ -436,41 +490,45 @@ let value_ready v ~cycle =
   | Exec_done | Done -> v.complete_at <= cycle
   | Dispatched | Issued | Wait_mem -> false
 
-(* Every linked producer satisfies [ready]; one missing from [by_id] has
-   committed. *)
-let producers_satisfy t u ready =
-  List.for_all
-    (fun id ->
-      match Hashtbl.find t.by_id id with
-      | v -> ready v
-      | exception Not_found -> true)
-    u.producers
+(* Every linked producer satisfies [ready].  A committed producer is
+   [Done] with [complete_at] at or before its commit cycle, so it reads as
+   ready.  Callers pass closed functions, so a check allocates nothing. *)
+let rec producers_satisfy t ready ~cycle = function
+  | [] -> true
+  | v :: rest -> ready t v ~cycle && producers_satisfy t ready ~cycle rest
 
-let operands_ready t u ~cycle = producers_satisfy t u (value_ready ~cycle)
+let operands_ready t u ~cycle =
+  producers_satisfy t (fun _ v ~cycle -> value_ready v ~cycle) ~cycle u.producers
+
+let same_word a b = Int64.equal (Int64.logand a (-8L)) (Int64.logand b (-8L))
+
+let writes_word (v : uop) addr =
+  match v.eff.Golden.mem with
+  | Some vm -> same_word vm.addr addr
+  | None -> false
+
+(* The youngest ROB store older than [u], at or below ROB index [k], that
+   writes [addr]'s 8-byte word. *)
+let rec older_store t u addr k =
+  if k < 0 then None
+  else begin
+    let v = Ring.get t.rob k in
+    if v.id < u.id && v.is_store && writes_word v addr then Some v
+    else older_store t u addr (k - 1)
+  end
 
 (* Older store to the same 8-byte word: forwarding source or hazard. *)
 let older_store_same_addr t u =
   match u.eff.Golden.mem with
   | None -> None
-  | Some m ->
-      let word a = Int64.logand a (-8L) in
-      List.fold_left
-        (fun acc v ->
-          if v.id < u.id && Instr.is_store v.eff.Golden.instr then
-            match v.eff.Golden.mem with
-            | Some vm when Int64.equal (word vm.addr) (word m.addr) -> Some v
-            | Some _ | None -> acc
-          else acc)
-        None t.rob
+  | Some m -> older_store t u m.addr (Ring.length t.rob - 1)
 
-let in_store_buffer t addr =
-  let word a = Int64.logand a (-8L) in
-  List.exists
-    (fun e ->
-      match e.sb_uop.eff.Golden.mem with
-      | Some m -> Int64.equal (word m.addr) (word addr)
-      | None -> false)
-    t.stbuf
+let rec in_store_buffer_from t addr k =
+  k < Ring.length t.stbuf
+  && (writes_word (Ring.get t.stbuf k).sb_uop addr
+     || in_store_buffer_from t addr (k + 1))
+
+let in_store_buffer t addr = in_store_buffer_from t addr 0
 
 (* --- Issue --- *)
 
@@ -521,125 +579,120 @@ let is_access_fault = function
   | Some _ | None -> false
 
 let step_issue t ~cycle =
-  List.iter
-    (fun u ->
-      if u.state = Dispatched && operands_ready t u ~cycle then begin
-        let early_fault =
-          is_access_fault u.eff.Golden.fault
-          && t.cfg.exception_policy = Config.Early_at_execute
-          && not u.transient
-        in
-        match classify u.eff.Golden.instr with
-        | Class_alu ->
-            (match Exec_unit.try_issue_alu t.pool ~cycle ~tainted:u.tainted with
-            | Some c ->
-                u.state <- Issued;
-                u.complete_at <- c;
-                if u.transient then t.transient_issued <- t.transient_issued + 1
-            | None -> ())
-        | Class_mul ->
-            (match
-               Exec_unit.try_issue_mul t.pool ~cycle ~operand:(operand_magnitude u)
-                 ~tainted:u.tainted
-             with
-            | Some c ->
-                u.state <- Issued;
-                u.complete_at <- c;
-                if u.transient then t.transient_issued <- t.transient_issued + 1
-            | None -> ())
-        | Class_div ->
-            (match
-               Exec_unit.try_issue_div t.pool ~cycle ~operand:(operand_magnitude u)
-                 ~tainted:u.tainted
-             with
-            | Some c ->
-                u.state <- Issued;
-                u.complete_at <- c;
-                if u.transient then t.transient_issued <- t.transient_issued + 1
-            | None -> ())
-        | Class_store ->
-            if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
-              Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:1
-                ~data:u.eff.Golden.pc;
+  for k = 0 to Ring.length t.rob - 1 do
+    let u = Ring.get t.rob k in
+    if u.state = Dispatched && operands_ready t u ~cycle then begin
+      let early_fault =
+        is_access_fault u.eff.Golden.fault
+        && t.cfg.exception_policy = Config.Early_at_execute
+        && not u.transient
+      in
+      match classify u.eff.Golden.instr with
+      | Class_alu ->
+          (match Exec_unit.try_issue_alu t.pool ~cycle ~tainted:u.tainted with
+          | Some c ->
+              u.state <- Issued;
+              u.complete_at <- c;
+              if u.transient then t.transient_issued <- t.transient_issued + 1
+          | None -> ())
+      | Class_mul ->
+          (match
+             Exec_unit.try_issue_mul t.pool ~cycle ~operand:(operand_magnitude u)
+               ~tainted:u.tainted
+           with
+          | Some c ->
+              u.state <- Issued;
+              u.complete_at <- c;
+              if u.transient then t.transient_issued <- t.transient_issued + 1
+          | None -> ())
+      | Class_div ->
+          (match
+             Exec_unit.try_issue_div t.pool ~cycle ~operand:(operand_magnitude u)
+               ~tainted:u.tainted
+           with
+          | Some c ->
+              u.state <- Issued;
+              u.complete_at <- c;
+              if u.transient then t.transient_issued <- t.transient_issued + 1
+          | None -> ())
+      | Class_store ->
+          if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
+            Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:1
+              ~data:(Int64.to_int u.eff.Golden.pc);
+            u.state <- Issued;
+            u.complete_at <- cycle + 1;
+            if u.transient then t.transient_issued <- t.transient_issued + 1;
+            if early_fault && t.pending_early_squash = None then
+              t.pending_early_squash <- Some u
+          end
+      | Class_load ->
+          if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
+            Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:0
+              ~data:(Int64.to_int u.eff.Golden.pc);
+            if early_fault then begin
               u.state <- Issued;
               u.complete_at <- cycle + 1;
               if u.transient then t.transient_issued <- t.transient_issued + 1;
-              if early_fault && t.pending_early_squash = None then
+              if t.pending_early_squash = None then
                 t.pending_early_squash <- Some u
             end
-        | Class_load ->
-            if Exec_unit.try_issue_mem t.pool ~cycle ~tainted:u.tainted then begin
-              Cpoint.request ~tainted:u.tainted t.reg t.p_ldq_stq ~source:0
-                ~data:u.eff.Golden.pc;
-              if early_fault then begin
-                u.state <- Issued;
-                u.complete_at <- cycle + 1;
-                if u.transient then t.transient_issued <- t.transient_issued + 1;
-                if t.pending_early_squash = None then
-                  t.pending_early_squash <- Some u
-              end
-              else begin
-                match older_store_same_addr t u with
-                | Some v ->
-                    if value_ready v ~cycle then begin
-                      (* Store-to-load forwarding. *)
-                      u.state <- Issued;
-                      u.complete_at <- cycle + 1;
-                      if u.transient then
-                        t.transient_issued <- t.transient_issued + 1
-                    end
-                    (* Hazard: stay Dispatched, mem slot wasted this cycle. *)
-                | None -> (
-                    let addr =
-                      match u.eff.Golden.mem with
-                      | Some m -> m.addr
-                      | None -> 0L
-                    in
-                    if in_store_buffer t addr then begin
-                      u.state <- Issued;
-                      u.complete_at <- cycle + 1;
-                      if u.transient then
-                        t.transient_issued <- t.transient_issued + 1
-                    end
-                    else
-                      match
-                        Memsys.dload t.ms ~core:t.core_id ~seq:u.id ~rob:u.id
-                          ~addr ~cycle ~tainted:u.tainted
-                      with
-                      | Memsys.Ready c ->
-                          u.state <- Issued;
-                          u.complete_at <- c;
-                          if u.transient then
-                            t.transient_issued <- t.transient_issued + 1
-                      | Memsys.Waiting ->
-                          u.state <- Wait_mem;
-                          if u.transient then
-                            t.transient_issued <- t.transient_issued + 1
-                      | Memsys.Blocked _ -> ())
-              end
+            else begin
+              match older_store_same_addr t u with
+              | Some v ->
+                  if value_ready v ~cycle then begin
+                    (* Store-to-load forwarding. *)
+                    u.state <- Issued;
+                    u.complete_at <- cycle + 1;
+                    if u.transient then
+                      t.transient_issued <- t.transient_issued + 1
+                  end
+                  (* Hazard: stay Dispatched, mem slot wasted this cycle. *)
+              | None -> (
+                  let addr =
+                    match u.eff.Golden.mem with
+                    | Some m -> m.addr
+                    | None -> 0L
+                  in
+                  if in_store_buffer t addr then begin
+                    u.state <- Issued;
+                    u.complete_at <- cycle + 1;
+                    if u.transient then
+                      t.transient_issued <- t.transient_issued + 1
+                  end
+                  else
+                    match
+                      Memsys.dload t.ms ~core:t.core_id ~seq:u.id ~rob:u.id
+                        ~addr ~cycle ~tainted:u.tainted
+                    with
+                    | Memsys.Ready c ->
+                        u.state <- Issued;
+                        u.complete_at <- c;
+                        if u.transient then
+                          t.transient_issued <- t.transient_issued + 1
+                    | Memsys.Waiting ->
+                        u.state <- Wait_mem;
+                        if u.transient then
+                          t.transient_issued <- t.transient_issued + 1
+                    | Memsys.Blocked _ -> ())
             end
-      end)
-    t.rob
+          end
+    end
+  done
 
 (* --- Squash --- *)
 
 let squash_younger t ~than_id =
   let keep u = u.id <= than_id in
-  List.iter
-    (fun u -> if not (keep u) then Hashtbl.remove t.by_id u.id)
-    (t.rob @ t.fb);
-  t.rob <- List.filter keep t.rob;
-  t.fb <- List.filter keep t.fb;
+  Ring.filter_in_place keep t.rob;
+  Ring.filter_in_place keep t.fb;
   Exec_unit.purge_writeback t.pool ~keep:(fun id -> id <= than_id);
-  (match t.blocked_on_branch with
-  | Some id when id > than_id -> t.blocked_on_branch <- None
-  | Some _ | None -> ())
+  if t.blocked_on_branch > than_id then t.blocked_on_branch <- -1
 
 let handle_fault_redirect t u ~cycle =
   Cpoint.request ~tainted:u.tainted t.reg t.p_rob_exception ~source:0
-    ~data:u.eff.Golden.pc;
+    ~data:(Int64.to_int u.eff.Golden.pc);
   Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:2
-    ~data:u.eff.Golden.pc;
+    ~data:(Int64.to_int u.eff.Golden.pc);
   squash_younger t ~than_id:u.id;
   t.fetch_source <- Arch;
   t.fetch_pos <- u.trace_pos + 1;
@@ -656,64 +709,61 @@ let wb_class_of u =
   | Class_load | Class_store -> Exec_unit.Wb_mem
 
 let step_complete t ~cycle =
-  List.iter
-    (fun u ->
-      match u.state with
-      | Issued when u.complete_at <= cycle ->
-          (* Control resolves here: train the predictor, unblock fetch. *)
-          (match u.eff.Golden.instr with
-          | Instr.Branch _ ->
-              Branch_pred.update t.bp ~pc:u.eff.Golden.pc
-                ~taken:(Option.value ~default:false u.eff.Golden.taken)
-                ~target:u.resolved_target
-          | Instr.Jal _ | Instr.Jalr _ ->
-              Branch_pred.update_jump t.bp ~pc:u.eff.Golden.pc
-                ~target:u.resolved_target
-          | _ -> ());
-          if u.mispredicted then begin
-            t.blocked_on_branch <- None;
-            t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
-            Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:1
-              ~data:u.eff.Golden.pc;
-            u.mispredicted <- false
-          end;
-          if
-            Instr.is_store u.eff.Golden.instr
-            && Option.is_none (Instr.dest u.eff.Golden.instr)
-          then u.state <- Done
-          else if Option.is_none (Instr.dest u.eff.Golden.instr) then
-            u.state <- Done
-          else begin
+  for k = 0 to Ring.length t.rob - 1 do
+    let u = Ring.get t.rob k in
+    match u.state with
+    | Issued when u.complete_at <= cycle ->
+        (* Control resolves here: train the predictor, unblock fetch. *)
+        (match u.eff.Golden.instr with
+        | Instr.Branch _ ->
+            Branch_pred.update t.bp ~pc:u.eff.Golden.pc
+              ~taken:(Option.value ~default:false u.eff.Golden.taken)
+              ~target:u.resolved_target
+        | Instr.Jal _ | Instr.Jalr _ ->
+            Branch_pred.update_jump t.bp ~pc:u.eff.Golden.pc
+              ~target:u.resolved_target
+        | _ -> ());
+        if u.mispredicted then begin
+          t.blocked_on_branch <- -1;
+          t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
+          Cpoint.request ~tainted:u.tainted t.reg t.p_pc_sel ~source:1
+            ~data:(Int64.to_int u.eff.Golden.pc);
+          u.mispredicted <- false
+        end;
+        if u.dest < 0 then u.state <- Done
+        else begin
+          u.state <- Exec_done;
+          Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id ~cycle
+            ~tainted:u.tainted
+        end
+    | Wait_mem -> (
+        match Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id with
+        | Some c when c <= cycle ->
+            u.complete_at <- c;
+            if u.mispredicted then begin
+              t.blocked_on_branch <- -1;
+              t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
+              u.mispredicted <- false
+            end;
             u.state <- Exec_done;
             Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id ~cycle
               ~tainted:u.tainted
-          end
-      | Wait_mem -> (
-          match Memsys.load_ready t.ms ~core:t.core_id ~rob:u.id with
-          | Some c when c <= cycle ->
-              u.complete_at <- c;
-              if u.mispredicted then begin
-                t.blocked_on_branch <- None;
-                t.fetch_stall_until <- max t.fetch_stall_until (cycle + 2);
-                u.mispredicted <- false
-              end;
-              u.state <- Exec_done;
-              Exec_unit.request_writeback t.pool (wb_class_of u) ~id:u.id ~cycle
-                ~tainted:u.tainted
-          | Some _ | None -> ())
-      | Dispatched | Issued | Exec_done | Done -> ())
-    t.rob
+        | Some _ | None -> ())
+    | Dispatched | Issued | Exec_done | Done -> ()
+  done
+
+let rec write_back t ~cycle = function
+  | [] -> ()
+  | id :: rest ->
+      let u = rob_find t id in
+      if u.state = Exec_done then begin
+        u.state <- Done;
+        u.complete_at <- min u.complete_at cycle
+      end;
+      write_back t ~cycle rest
 
 let step_writeback t ~cycle =
-  let granted = Exec_unit.arbitrate_writeback t.pool ~cycle in
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.by_id id with
-      | Some u when u.state = Exec_done ->
-          u.state <- Done;
-          u.complete_at <- min u.complete_at cycle
-      | Some _ | None -> ())
-    granted
+  write_back t ~cycle (Exec_unit.arbitrate_writeback t.pool ~cycle)
 
 (* --- Commit --- *)
 
@@ -721,20 +771,21 @@ let step_commit t ~cycle =
   let budget = ref t.cfg.commit_width in
   let stop = ref false in
   while (not !stop) && !budget > 0 do
-    match t.rob with
-    | u :: rest when u.state = Done && u.complete_at <= cycle ->
+    if Ring.is_empty t.rob then stop := true
+    else begin
+      let u = Ring.get t.rob 0 in
+      if not (u.state = Done && u.complete_at <= cycle) then stop := true
+      else begin
         assert (not u.transient);
-        t.rob <- rest;
-        Hashtbl.remove t.by_id u.id;
+        Ring.pop t.rob;
         let slot = t.cfg.commit_width - !budget in
         Cpoint.request ~tainted:u.tainted t.reg t.p_rob_commit ~source:slot
-          ~data:u.eff.Golden.pc;
+          ~data:(Int64.to_int u.eff.Golden.pc);
         decr budget;
         t.commit_log <-
           { c_eff = u.eff; c_cycle = cycle; c_dispatch = u.dispatch_cycle }
           :: t.commit_log;
-        if Instr.is_store u.eff.Golden.instr then
-          t.stbuf <- t.stbuf @ [ { sb_uop = u; sb_state = Drain_new } ];
+        if u.is_store then Ring.push t.stbuf { sb_uop = u; sb_state = Drain_new };
         if u.secret_dep then begin
           t.secret_committed <- t.secret_committed + 1;
           if t.drives_window && t.secret_committed >= t.secret_total then
@@ -748,35 +799,36 @@ let step_commit t ~cycle =
           handle_fault_redirect t u ~cycle;
           stop := true
         end
-    | _ -> stop := true
+      end
+    end
   done
 
 (* --- Store buffer drain --- *)
 
 let step_stbuf t ~cycle =
-  match t.stbuf with
-  | [] -> ()
-  | entry :: rest -> (
-      let u = entry.sb_uop in
-      let addr = match u.eff.Golden.mem with Some m -> m.addr | None -> 0L in
-      let is_sc =
-        match u.eff.Golden.instr with Instr.Sc_d _ -> true | _ -> false
-      in
-      match entry.sb_state with
-      | Drain_new -> (
-          Cpoint.request ~tainted:u.tainted t.reg t.p_stq_drain ~source:0
-            ~data:addr;
-          match
-            Memsys.dstore t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr ~is_sc
-              ~cycle ~tainted:u.tainted
-          with
-          | Memsys.Ready _ -> t.stbuf <- rest
-          | Memsys.Waiting -> entry.sb_state <- Drain_waiting
-          | Memsys.Blocked _ -> ())
-      | Drain_waiting -> (
-          match Memsys.store_ready t.ms ~core:t.core_id ~rob:u.id with
-          | Some c when c <= cycle -> t.stbuf <- rest
-          | Some _ | None -> ()))
+  if not (Ring.is_empty t.stbuf) then begin
+    let entry = Ring.get t.stbuf 0 in
+    let u = entry.sb_uop in
+    let addr = match u.eff.Golden.mem with Some m -> m.addr | None -> 0L in
+    let is_sc =
+      match u.eff.Golden.instr with Instr.Sc_d _ -> true | _ -> false
+    in
+    match entry.sb_state with
+    | Drain_new -> (
+        Cpoint.request ~tainted:u.tainted t.reg t.p_stq_drain ~source:0
+          ~data:(Int64.to_int addr);
+        match
+          Memsys.dstore t.ms ~core:t.core_id ~seq:u.id ~rob:u.id ~addr ~is_sc
+            ~cycle ~tainted:u.tainted
+        with
+        | Memsys.Ready _ -> Ring.pop t.stbuf
+        | Memsys.Waiting -> entry.sb_state <- Drain_waiting
+        | Memsys.Blocked _ -> ())
+    | Drain_waiting -> (
+        match Memsys.store_ready t.ms ~core:t.core_id ~rob:u.id with
+        | Some c when c <= cycle -> Ring.pop t.stbuf
+        | Some _ | None -> ())
+  end
 
 (* --- Top level --- *)
 
@@ -801,7 +853,10 @@ let fetch_done t =
   | Arch -> t.fetch_halted || t.fetch_pos >= Array.length t.trace
   | Trans _ -> false
 
-let finished t = fetch_done t && t.fb = [] && t.rob = [] && t.stbuf = []
+let finished t =
+  fetch_done t && Ring.is_empty t.fb && Ring.is_empty t.rob
+  && Ring.is_empty t.stbuf
+
 let commits t = List.rev t.commit_log
 let transient_executed t = t.transient_issued
 let cycles_run t = t.cycles
@@ -833,41 +888,41 @@ let cycles_run t = t.cycles
    Untouched lines are conservatively assumed ready (a first-touch
    [Memsys.ifetch] could hit). *)
 let line_known_unready t line ~cycle =
-  match Hashtbl.find_opt t.line_avail line with
-  | Some c -> c > cycle
-  | None ->
-      Hashtbl.mem t.line_pending line
-      &&
+  match Int_tbl.find t.lines line with
+  | c when c <> refill_pending -> c > cycle
+  | _ -> (
       (* Pure variant of [line_ready]'s pending path: peek at the refill
-         completion without migrating the entry between the core tables. *)
-      (match Memsys.ifetch_ready t.ms ~core:t.core_id ~addr:line with
+         completion without recording it. *)
+      match Memsys.ifetch_ready t.ms ~core:t.core_id ~line with
       | Some c -> c > cycle
       | None -> true)
+  | exception Not_found -> false
+
+(* The first position in [[p, last)] whose line is known unready.
+   Positions on the line just found not unready need no second lookup. *)
+let rec first_unready_line t ~cycle ~last ~prev_line p =
+  if p >= last then None
+  else begin
+    let line = line_of t t.trace.(p).Golden.pc in
+    if line <> prev_line && line_known_unready t line ~cycle then Some p
+    else first_unready_line t ~cycle ~last ~prev_line:line (p + 1)
+  end
 
 let fetch_bound t ~cycle =
   match t.fetch_source with
   | Trans _ -> t.fetch_pos
   | Arch ->
-      if t.fetch_halted || cycle < t.fetch_stall_until || t.blocked_on_branch <> None
+      if t.fetch_halted || cycle < t.fetch_stall_until || t.blocked_on_branch >= 0
       then t.fetch_pos
       else begin
-        let fb = fb_count t in
+        let fb = Ring.length t.fb in
         let headroom =
           min t.cfg.fetch_width
             (t.cfg.fetch_buffer - fb + min fb t.cfg.decode_width)
         in
         let last = min (t.fetch_pos + headroom) (Array.length t.trace) in
-        let bound = ref (t.fetch_pos + headroom) in
-        (try
-           for p = t.fetch_pos to last - 1 do
-             if line_known_unready t (line_of t t.trace.(p).Golden.pc) ~cycle
-             then begin
-               bound := p;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !bound
+        first_unready_line t ~cycle ~last ~prev_line:(-1) t.fetch_pos
+        |> Option.value ~default:(t.fetch_pos + headroom)
       end
 
 (* Whether the ROB holds a uop at or past the architectural position
@@ -884,11 +939,10 @@ let fetch_bound t ~cycle =
 
    [could_issue] follows the operand links fixed at dispatch
    ([step_dispatch]), as [operands_ready] does: the uop could issue once
-   every linked producer still in [by_id] is possibly ready; a linked
-   producer gone from [by_id] has committed, so its value is ready.  The
-   links stay exact because no older writer dispatches after the consumer,
-   commit removes uops from the old end of the ROB and a squash from the
-   young end.
+   every linked producer is possibly ready; a committed producer is
+   [Done], so its value is ready.  The links stay exact because no older
+   writer dispatches after the consumer, commit removes uops from the old
+   end of the ROB and a squash from the young end.
 
    [producer_possibly_ready] predicts [value_ready] as evaluated inside
    [step_issue], which runs {e after} complete/writeback within the cycle:
@@ -913,21 +967,23 @@ let producer_possibly_ready t v ~cycle =
   | Dispatched -> false
 
 let could_issue t u ~cycle =
-  producers_satisfy t u (producer_possibly_ready t ~cycle)
+  producers_satisfy t producer_possibly_ready ~cycle u.producers
 
-let rob_issue_reaches t ~fork ~cycle =
-  List.exists
-    (fun u ->
+let rec rob_issue_reaches_from t ~fork ~cycle k =
+  k < Ring.length t.rob
+  && (let u = Ring.get t.rob k in
       u.trace_pos >= fork
-      && (u.state <> Dispatched
-         || Instr.is_store u.eff.Golden.instr
-         || could_issue t u ~cycle))
-    t.rob
+      && (u.state <> Dispatched || u.is_store || could_issue t u ~cycle)
+     || rob_issue_reaches_from t ~fork ~cycle (k + 1))
 
-(* Checkpoint support.  Uops are mutable, so capture deep-copies each one
-   ([{ u with state = u.state }] — the immutable [eff] is shared); [by_id]
-   is exactly fb ∪ rob (commit removes an entry before any store-buffer
-   insertion), so restore rebuilds it instead of saving it.  The commit
+let rob_issue_reaches t ~fork ~cycle = rob_issue_reaches_from t ~fork ~cycle 0
+
+(* Checkpoint support.  Uops are mutable, so capture copies each one
+   ([{ u with state = u.state }] — the immutable [eff] is shared).  A
+   copy's operand links still point at the live producers, so restore
+   re-links each one to the restored ROB uop of the same id; a producer
+   absent from the ROB had committed by the capture, and a committed uop
+   never changes again, so its link stays.  The commit
    log's records are immutable, so its spine is shared.  [fetch_source]'s
    [Trans] payload is replaced, never mutated, so saving it by value is
    faithful. *)
@@ -938,12 +994,11 @@ type save = {
   mutable s_fetch_source : fetch_source;
   mutable s_fetch_stall_until : int;
   mutable s_fetch_halted : bool;
-  mutable s_blocked_on_branch : int option;
-  mutable s_line_avail : (int64 * int) list;
-  mutable s_line_pending : int64 list;
-  mutable s_fb : uop list;
-  mutable s_rob : uop list;
-  mutable s_stbuf : (uop * stbuf_state) list;
+  mutable s_blocked_on_branch : int;
+  mutable s_lines : (int * int) list;
+  s_fb : uop Ring.t;
+  s_rob : uop Ring.t;
+  s_stbuf : stbuf_entry Ring.t;
   s_taint_reg : bool array;
   mutable s_next_id : int;
   s_pool : Exec_unit.save;
@@ -960,12 +1015,11 @@ let make_save () =
     s_fetch_source = Arch;
     s_fetch_stall_until = 0;
     s_fetch_halted = false;
-    s_blocked_on_branch = None;
-    s_line_avail = [];
-    s_line_pending = [];
-    s_fb = [];
-    s_rob = [];
-    s_stbuf = [];
+    s_blocked_on_branch = -1;
+    s_lines = [];
+    s_fb = Ring.create dummy_uop;
+    s_rob = Ring.create dummy_uop;
+    s_stbuf = Ring.create dummy_entry;
     s_taint_reg = Array.make 32 false;
     s_next_id = 0;
     s_pool = Exec_unit.make_save ();
@@ -977,6 +1031,12 @@ let make_save () =
 
 let copy_uop u = { u with state = u.state }
 
+(* Replace the contents of [dst] with [f] applied to each element of [src],
+   in order. *)
+let map_into f src dst =
+  Ring.clear dst;
+  Ring.iter (fun x -> Ring.push dst (f x)) src
+
 let capture t sv =
   (* [pending_early_squash] is set and consumed within one [step], so it
      is always [None] at a cycle boundary. *)
@@ -987,11 +1047,12 @@ let capture t sv =
   sv.s_fetch_stall_until <- t.fetch_stall_until;
   sv.s_fetch_halted <- t.fetch_halted;
   sv.s_blocked_on_branch <- t.blocked_on_branch;
-  sv.s_line_avail <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.line_avail [];
-  sv.s_line_pending <- Hashtbl.fold (fun k () acc -> k :: acc) t.line_pending [];
-  sv.s_fb <- List.map copy_uop t.fb;
-  sv.s_rob <- List.map copy_uop t.rob;
-  sv.s_stbuf <- List.map (fun e -> (copy_uop e.sb_uop, e.sb_state)) t.stbuf;
+  sv.s_lines <- Int_tbl.fold (fun k v acc -> (k, v) :: acc) t.lines [];
+  map_into copy_uop t.fb sv.s_fb;
+  map_into copy_uop t.rob sv.s_rob;
+  map_into
+    (fun e -> { sb_uop = copy_uop e.sb_uop; sb_state = e.sb_state })
+    t.stbuf sv.s_stbuf;
   Array.blit t.taint_reg 0 sv.s_taint_reg 0 32;
   sv.s_next_id <- t.next_id;
   Exec_unit.capture t.pool sv.s_pool;
@@ -1007,10 +1068,8 @@ let restore ?(fork = max_int) t sv =
   t.fetch_stall_until <- sv.s_fetch_stall_until;
   t.fetch_halted <- sv.s_fetch_halted;
   t.blocked_on_branch <- sv.s_blocked_on_branch;
-  Hashtbl.reset t.line_avail;
-  List.iter (fun (k, v) -> Hashtbl.replace t.line_avail k v) sv.s_line_avail;
-  Hashtbl.reset t.line_pending;
-  List.iter (fun k -> Hashtbl.replace t.line_pending k ()) sv.s_line_pending;
+  Int_tbl.reset t.lines;
+  List.iter (fun (k, v) -> Int_tbl.replace t.lines k v) sv.s_lines;
   (* Uops at or past [fork] were captured with run 0's effect records.
      None of the fields the two runs disagree on was ever read — the
      capture fires before the first cycle in which issue could touch a
@@ -1025,15 +1084,20 @@ let restore ?(fork = max_int) t sv =
   let repoint u =
     if u.trace_pos >= fork then { u with eff = t.trace.(u.trace_pos) } else u
   in
-  t.fb <- (if fork = max_int then sv.s_fb else List.map repoint sv.s_fb);
-  t.rob <- (if fork = max_int then sv.s_rob else List.map repoint sv.s_rob);
-  t.stbuf <-
-    List.map
-      (fun (u, st) -> { sb_uop = repoint u; sb_state = st })
-      sv.s_stbuf;
-  Hashtbl.reset t.by_id;
-  List.iter (fun u -> Hashtbl.replace t.by_id u.id u) t.fb;
-  List.iter (fun u -> Hashtbl.replace t.by_id u.id u) t.rob;
+  map_into repoint sv.s_fb t.fb;
+  map_into repoint sv.s_rob t.rob;
+  map_into
+    (fun e -> { sb_uop = repoint e.sb_uop; sb_state = e.sb_state })
+    sv.s_stbuf t.stbuf;
+  Ring.iter
+    (fun u ->
+      u.producers <-
+        List.map
+          (fun v ->
+            let c = rob_find t v.id in
+            if c == dummy_uop then v else c)
+          u.producers)
+    t.rob;
   Array.blit sv.s_taint_reg 0 t.taint_reg 0 32;
   t.next_id <- sv.s_next_id;
   Exec_unit.restore t.pool sv.s_pool;

@@ -13,8 +13,13 @@ type t = {
   mutable min_self : int option;
   mutable active_sources : int;  (* sources with hits > 0, kept incrementally *)
   mutable single_valid_dominated : bool;
-  triggered : (kind * int, unit) Hashtbl.t;
-  pair_min : (int, int) Hashtbl.t;  (* per risky source pair: min interval *)
+  volatile_slots : int;  (* sub-points below this index are volatile *)
+  (* Triggered sub-points as dense indices: a membership flag per index,
+     the set members in insertion order and their count. *)
+  trig_mask : Bytes.t;
+  mutable trig_list : int list;
+  mutable trig_count : int;
+  pair_min : int array;  (* per risky source pair: min interval, [max_int] = none *)
   last_tainted : bool array;  (* was each source's latest request tainted *)
   mutable digest : int;
   mutable event_count : int;
@@ -26,8 +31,8 @@ type registry = {
   mutable order : t list;  (* reverse registration order *)
   mutable cycle : int;
   mutable open_ : bool;
-  mutable first_open : int option;
-  mutable last_open : int option;
+  mutable first_open : int;  (* -1 until the window first opens *)
+  mutable last_open : int;
 }
 
 let create config =
@@ -37,9 +42,21 @@ let create config =
     order = [];
     cycle = 0;
     open_ = false;
-    first_open = None;
-    last_open = None;
+    first_open = -1;
+    last_open = -1;
   }
+
+let clear_triggered p =
+  List.iter (fun i -> Bytes.unsafe_set p.trig_mask i '\000') p.trig_list;
+  p.trig_list <- [];
+  p.trig_count <- 0
+
+let trigger p i =
+  if Bytes.get p.trig_mask i = '\000' then begin
+    Bytes.unsafe_set p.trig_mask i '\001';
+    p.trig_list <- i :: p.trig_list;
+    p.trig_count <- p.trig_count + 1
+  end
 
 let reset_point p =
   Array.fill p.last_valid 0 (Array.length p.last_valid) (-1);
@@ -49,8 +66,8 @@ let reset_point p =
   p.min_self <- None;
   p.active_sources <- 0;
   p.single_valid_dominated <- true;
-  Hashtbl.reset p.triggered;
-  Hashtbl.reset p.pair_min;
+  clear_triggered p;
+  Array.fill p.pair_min 0 (Array.length p.pair_min) max_int;
   p.digest <- Hashtbl.hash p.name;
   p.event_count <- 0
 
@@ -63,8 +80,8 @@ let reset reg =
   List.iter reset_point reg.order;
   reg.cycle <- 0;
   reg.open_ <- false;
-  reg.first_open <- None;
-  reg.last_open <- None
+  reg.first_open <- -1;
+  reg.last_open <- -1
 
 (* Sub-point granularity: each (source pair, data bucket) combination is a
    distinct netlist sub-point. Wide arbiters route many data fields through
@@ -73,8 +90,9 @@ let reset reg =
    diversity (Figure 8) instead of saturating after a handful of runs. *)
 let data_buckets = 64
 
-let bucket_of data =
-  Int64.to_int (Int64.unsigned_rem (Int64.mul data 0x9E3779B9L) (Int64.of_int data_buckets))
+(* The low 6 bits of the product, which depend only on the low bits of
+   [data]: the same bucket a 64-bit product would give. *)
+let bucket_of data = (data * 0x9E3779B9) land (data_buckets - 1)
 
 let point reg ~name ~component ~sources ?(persistent_subs = 0)
     ?(single_valid = false) () =
@@ -82,13 +100,14 @@ let point reg ~name ~component ~sources ?(persistent_subs = 0)
   | Some p -> p
   | None ->
       let n = List.length sources in
-      let volatile_pairs = max 1 (n * (n - 1) / 2) in
+      let volatile_slots = max 1 (n * (n - 1) / 2) * data_buckets in
+      let max_subs = volatile_slots + persistent_subs in
       let p =
         {
           name;
           component;
           fanout = Config.fanout_of reg.config name;
-          max_subs = (volatile_pairs * data_buckets) + persistent_subs;
+          max_subs;
           single_valid = single_valid || n = 1;
           sources = Array.of_list sources;
           last_valid = Array.make n (-1);
@@ -97,8 +116,11 @@ let point reg ~name ~component ~sources ?(persistent_subs = 0)
           min_self = None;
           active_sources = 0;
           single_valid_dominated = true;
-          triggered = Hashtbl.create 8;
-          pair_min = Hashtbl.create 8;
+          volatile_slots;
+          trig_mask = Bytes.make max_subs '\000';
+          trig_list = [];
+          trig_count = 0;
+          pair_min = Array.make (n * (n - 1) / 2) max_int;
           last_tainted = Array.make n false;
           digest = Hashtbl.hash name;
           event_count = 0;
@@ -126,7 +148,7 @@ let request reg p ~tainted ~source ~data =
     if p.hits.(source) = 0 then p.active_sources <- p.active_sources + 1;
     p.hits.(source) <- p.hits.(source) + 1;
     p.event_count <- p.event_count + 1;
-    p.digest <- mix (mix p.digest (source + (cycle land 0xFF))) (Int64.to_int data land 0xFFFF);
+    p.digest <- mix (mix p.digest (source + (cycle land 0xFF))) (data land 0xFFFF);
     (* Single-valid dominance: demoted once a second source shows activity.
        [active_sources] is maintained incrementally above, so this is O(1)
        per request instead of an O(sources) rescan. *)
@@ -134,8 +156,7 @@ let request reg p ~tainted ~source ~data =
       p.single_valid_dominated <- false;
     (* A lone-source point triggers on its first risky in-window request:
        its valid signal is the request itself and is trivially asserted. *)
-    if n = 1 && tainted then
-      Hashtbl.replace p.triggered (Volatile, bucket_of data) ();
+    if n = 1 && tainted then trigger p (bucket_of data);
     (* Same-source consecutive interval. *)
     if p.last_valid.(source) >= 0 then
       p.min_self <- update_min p.min_self (cycle - p.last_valid.(source));
@@ -149,13 +170,8 @@ let request reg p ~tainted ~source ~data =
         if tainted || p.last_tainted.(other) then begin
           p.min_pair <- update_min p.min_pair interval;
           let pair = pair_sub n source other in
-          (match Hashtbl.find_opt p.pair_min pair with
-          | Some m when m <= interval -> ()
-          | Some _ | None -> Hashtbl.replace p.pair_min pair interval);
-          if interval = 0 then
-            Hashtbl.replace p.triggered
-              (Volatile, (pair * data_buckets) + bucket_of data)
-              ()
+          if interval < p.pair_min.(pair) then p.pair_min.(pair) <- interval;
+          if interval = 0 then trigger p ((pair * data_buckets) + bucket_of data)
         end
       end
     done
@@ -167,43 +183,46 @@ let grant reg p ~source =
   if reg.open_ then p.digest <- mix p.digest (0x5A + source)
 
 let persistent reg p ~tainted ~source ~sub ~data =
+  let persistent_slots = p.max_subs - p.volatile_slots in
+  if persistent_slots = 0 then
+    invalid_arg "Cpoint.persistent: point has no persistent sub-points";
   if reg.open_ then begin
     p.event_count <- p.event_count + 1;
-    p.digest <- mix (mix p.digest (0xBEEF + source)) (Int64.to_int data land 0xFFFF);
-    if tainted then begin
-      let n = Array.length p.sources in
-      let volatile_slots = max 1 (n * (n - 1) / 2) * data_buckets in
-      let persistent_slots = max 1 (p.max_subs - volatile_slots) in
-      Hashtbl.replace p.triggered
-        (Persistent, volatile_slots + (sub mod persistent_slots))
-        ()
-    end
+    p.digest <- mix (mix p.digest (0xBEEF + source)) (data land 0xFFFF);
+    if tainted then trigger p (p.volatile_slots + (sub mod persistent_slots))
   end
 
 let set_cycle reg c =
   reg.cycle <- c;
-  if reg.open_ then reg.last_open <- Some c
+  if reg.open_ then reg.last_open <- c
 
 let open_window reg =
   reg.open_ <- true;
-  if reg.first_open = None then reg.first_open <- Some reg.cycle;
-  reg.last_open <- Some reg.cycle
+  if reg.first_open < 0 then reg.first_open <- reg.cycle;
+  reg.last_open <- reg.cycle
 
 let close_window reg = reg.open_ <- false
 let window_open reg = reg.open_
 
 let window_bounds reg =
-  match (reg.first_open, reg.last_open) with
-  | Some a, Some b -> Some (a, b)
-  | _ -> None
+  if reg.first_open < 0 then None else Some (reg.first_open, reg.last_open)
 
 let points reg = List.rev reg.order
 
+(* Volatile indices lie below [volatile_slots] and persistent ones at or
+   above it, so ascending index order is [compare] order on the pairs. *)
 let triggered_subs p =
-  Hashtbl.fold (fun k () acc -> k :: acc) p.triggered [] |> List.sort compare
+  List.map
+    (fun i -> ((if i < p.volatile_slots then Volatile else Persistent), i))
+    (List.sort Int.compare p.trig_list)
 
 let pair_intervals p =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.pair_min [] |> List.sort compare
+  let acc = ref [] in
+  for pair = Array.length p.pair_min - 1 downto 0 do
+    let m = p.pair_min.(pair) in
+    if m < max_int then acc := (pair, m) :: !acc
+  done;
+  !acc
 
 (* Invert the triangular pair enumeration of [pair_sub]. *)
 let pair_name p pair =
@@ -221,15 +240,15 @@ let pair_name p pair =
   else string_of_int pair
 
 let triggered_weight p =
-  float_of_int p.fanout *. float_of_int (Hashtbl.length p.triggered)
+  float_of_int p.fanout *. float_of_int p.trig_count
   /. float_of_int p.max_subs
 
 (* Checkpoint support: a registry-level save holds one preallocated buffer
    per registered point (in [points] order — registration is structural,
    so the order is stable for a given config + core count) plus the
-   window/cycle state.  Hashtables are captured as association lists and
-   replayed with [Hashtbl.replace]; all readers use [find_opt] /
-   [length] / [fold]+sort, so insertion order never shows through. *)
+   window/cycle state.  Per-source and per-pair arrays are blitted; the
+   triggered list is immutable, so the save shares it, and restore clears
+   the live membership flags it set before raising the saved ones. *)
 
 type point_save = {
   ps_last_valid : int array;
@@ -239,8 +258,8 @@ type point_save = {
   mutable ps_min_self : int option;
   mutable ps_active_sources : int;
   mutable ps_single_valid_dominated : bool;
-  mutable ps_triggered : (kind * int) list;
-  mutable ps_pair_min : (int * int) list;
+  mutable ps_trig_list : int list;
+  ps_pair_min : int array;
   mutable ps_digest : int;
   mutable ps_event_count : int;
 }
@@ -249,8 +268,8 @@ type save = {
   sv_points : (t * point_save) array;
   mutable sv_cycle : int;
   mutable sv_open : bool;
-  mutable sv_first_open : int option;
-  mutable sv_last_open : int option;
+  mutable sv_first_open : int;
+  mutable sv_last_open : int;
 }
 
 let make_save reg =
@@ -269,16 +288,16 @@ let make_save reg =
                  ps_min_self = None;
                  ps_active_sources = 0;
                  ps_single_valid_dominated = true;
-                 ps_triggered = [];
-                 ps_pair_min = [];
+                 ps_trig_list = [];
+                 ps_pair_min = Array.make (Array.length p.pair_min) max_int;
                  ps_digest = 0;
                  ps_event_count = 0;
                } ))
            (points reg));
     sv_cycle = 0;
     sv_open = false;
-    sv_first_open = None;
-    sv_last_open = None;
+    sv_first_open = -1;
+    sv_last_open = -1;
   }
 
 let capture reg sv =
@@ -292,8 +311,8 @@ let capture reg sv =
       ps.ps_min_self <- p.min_self;
       ps.ps_active_sources <- p.active_sources;
       ps.ps_single_valid_dominated <- p.single_valid_dominated;
-      ps.ps_triggered <- Hashtbl.fold (fun k () acc -> k :: acc) p.triggered [];
-      ps.ps_pair_min <- Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.pair_min [];
+      ps.ps_trig_list <- p.trig_list;
+      Array.blit p.pair_min 0 ps.ps_pair_min 0 (Array.length p.pair_min);
       ps.ps_digest <- p.digest;
       ps.ps_event_count <- p.event_count)
     sv.sv_points;
@@ -313,10 +332,11 @@ let restore reg sv =
       p.min_self <- ps.ps_min_self;
       p.active_sources <- ps.ps_active_sources;
       p.single_valid_dominated <- ps.ps_single_valid_dominated;
-      Hashtbl.reset p.triggered;
-      List.iter (fun k -> Hashtbl.replace p.triggered k ()) ps.ps_triggered;
-      Hashtbl.reset p.pair_min;
-      List.iter (fun (k, v) -> Hashtbl.replace p.pair_min k v) ps.ps_pair_min;
+      clear_triggered p;
+      List.iter (fun i -> Bytes.unsafe_set p.trig_mask i '\001') ps.ps_trig_list;
+      p.trig_list <- ps.ps_trig_list;
+      p.trig_count <- List.length ps.ps_trig_list;
+      Array.blit ps.ps_pair_min 0 p.pair_min 0 (Array.length p.pair_min);
       p.digest <- ps.ps_digest;
       p.event_count <- ps.ps_event_count)
     sv.sv_points;

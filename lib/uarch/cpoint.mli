@@ -43,10 +43,14 @@ type t = private {
           incrementally (avoids an O(sources) rescan per request) *)
   mutable single_valid_dominated : bool;
       (** every in-window event so far came from one source (Figure 9) *)
-  triggered : (kind * int, unit) Hashtbl.t;
-  pair_min : (int, int) Hashtbl.t;
-      (** per risky source pair, the minimum interval observed — the
-          fuzzer's per-pair convergence targets *)
+  volatile_slots : int;
+      (** sub-point indices below this are volatile, the rest persistent *)
+  trig_mask : Bytes.t;  (** per sub-point index: triggered in the window *)
+  mutable trig_list : int list;  (** the triggered indices, unsorted *)
+  mutable trig_count : int;
+  pair_min : int array;
+      (** per risky source pair, the minimum interval observed ([max_int]
+          = none) — the fuzzer's per-pair convergence targets *)
   last_tainted : bool array;
       (** was each source's most recent request secret-dependent *)
   mutable digest : int;
@@ -80,19 +84,24 @@ val point :
     single-source point triggers on its first in-window request (the
     "dominated by a single valid signal" class of Figure 9). *)
 
-val request : registry -> t -> tainted:bool -> source:int -> data:int64 -> unit
+val request : registry -> t -> tainted:bool -> source:int -> data:int -> unit
 (** Report a valid request this cycle from [source]. [tainted] marks a
     request derived from secret-dependent instructions; only contention
     involving at least one tainted request is {e risky} (secret-dependent,
-    §6.1) — pair intervals and triggers are recorded for risky pairs only. *)
+    §6.1) — pair intervals and triggers are recorded for risky pairs only.
+    [data] classifies the request: its low bits pick the sub-point's data
+    bucket and feed the digest, so callers pass an [int64] address or
+    value through [Int64.to_int]. *)
 
 val grant : registry -> t -> source:int -> unit
 (** Report the arbitration winner (folded into the digest). *)
 
 val persistent :
-  registry -> t -> tainted:bool -> source:int -> sub:int -> data:int64 -> unit
+  registry -> t -> tainted:bool -> source:int -> sub:int -> data:int -> unit
 (** Report a persistent-contention event on sub-point [sub]. Only tainted
-    events count as triggers (untainted ones still feed the digest). *)
+    events count as triggers (untainted ones still feed the digest).
+    @raise Invalid_argument if [t] was registered without
+    [persistent_subs]. *)
 
 val set_cycle : registry -> int -> unit
 val open_window : registry -> unit

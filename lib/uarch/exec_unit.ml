@@ -53,7 +53,7 @@ let new_cycle t ~cycle =
 
 let try_issue_alu t ~cycle ~tainted =
   if t.alu_used < t.cfg.int_alus then begin
-    Cpoint.request ~tainted t.reg t.p_issue_alu ~source:t.alu_used ~data:(Int64.of_int cycle);
+    Cpoint.request ~tainted t.reg t.p_issue_alu ~source:t.alu_used ~data:cycle;
     t.alu_used <- t.alu_used + 1;
     Some (cycle + 1)
   end
@@ -74,7 +74,7 @@ let mul_latency (cfg : Config.t) = if cfg.unified_mdu then 8 else 3
 let try_issue_mul t ~cycle ~operand ~tainted =
   if t.cfg.unified_mdu then begin
     let p = Option.get t.p_mdu in
-    Cpoint.request ~tainted t.reg p ~source:0 ~data:operand;
+    Cpoint.request ~tainted t.reg p ~source:0 ~data:(Int64.to_int operand);
     if t.mdu_busy_until >= cycle then None
     else begin
       let lat = mul_latency t.cfg in
@@ -92,7 +92,7 @@ let try_issue_mul t ~cycle ~operand ~tainted =
 let try_issue_div t ~cycle ~operand ~tainted =
   if t.cfg.unified_mdu then begin
     let p = Option.get t.p_mdu in
-    Cpoint.request ~tainted t.reg p ~source:1 ~data:operand;
+    Cpoint.request ~tainted t.reg p ~source:1 ~data:(Int64.to_int operand);
     if t.mdu_busy_until >= cycle then None
     else begin
       let lat = div_latency t.cfg operand in
@@ -104,7 +104,7 @@ let try_issue_div t ~cycle ~operand ~tainted =
   else begin
     Cpoint.request ~tainted t.reg t.p_div
       ~source:(if t.div_busy_until >= cycle then 0 else 1)
-      ~data:operand;
+      ~data:(Int64.to_int operand);
     if t.div_busy_until >= cycle then None
     else begin
       let lat = div_latency t.cfg operand in
@@ -115,7 +115,7 @@ let try_issue_div t ~cycle ~operand ~tainted =
 
 let try_issue_mem t ~cycle ~tainted =
   if t.mem_used < t.cfg.mem_units then begin
-    Cpoint.request ~tainted t.reg t.p_issue_mem ~source:t.mem_used ~data:(Int64.of_int cycle);
+    Cpoint.request ~tainted t.reg t.p_issue_mem ~source:t.mem_used ~data:cycle;
     t.mem_used <- t.mem_used + 1;
     true
   end
@@ -180,7 +180,7 @@ let arbitrate_writeback t ~cycle =
       List.iter
         (fun p ->
           Cpoint.request ~tainted:p.tainted t.reg t.p_wb ~source:(wb_source p.cls)
-            ~data:(Int64.of_int p.id))
+            ~data:p.id)
         pending;
       let sorted =
         List.sort

@@ -138,15 +138,21 @@ let acquire ?ctx cfg inputs outcomes =
       in
       (sl.Ctx.s_reg, sl.Ctx.s_ms, cores, Some sl)
 
+let all_done cores ms =
+  Array.for_all Core_model.finished cores && not (Memsys.busy ms)
+
+(* One machine cycle: every core steps, then the memory system. *)
+let step_cycle reg ms cores ~cycle =
+  Cpoint.set_cycle reg cycle;
+  for i = 0 to Array.length cores - 1 do
+    Core_model.step cores.(i) ~cycle
+  done;
+  Memsys.tick ms ~cycle
+
 let sim_loop reg ms cores ~from ~max_cycles =
   let cycle = ref from in
-  let all_done () =
-    Array.for_all Core_model.finished cores && not (Memsys.busy ms)
-  in
-  while (not (all_done ())) && !cycle < max_cycles do
-    Cpoint.set_cycle reg !cycle;
-    Array.iter (fun c -> Core_model.step c ~cycle:!cycle) cores;
-    Memsys.tick ms ~cycle:!cycle;
+  while (not (all_done cores ms)) && !cycle < max_cycles do
+    step_cycle reg ms cores ~cycle:!cycle;
     incr cycle
   done;
   !cycle
@@ -402,29 +408,21 @@ let run_dual ?(max_cycles = default_max_cycles) ?ctx ?(checkpoint = true) cfg
        run 1's trace. *)
     let captured = ref (-1) in
     let cycle = ref 0 in
-    let all_done () =
-      Array.for_all Core_model.finished cores && not (Memsys.busy ms)
+    let rec must_capture i =
+      i < n
+      && (Core_model.fetch_bound cores.(i) ~cycle:!cycle > forks_fetch.(i)
+         || Core_model.rob_issue_reaches cores.(i) ~fork:forks_exec.(i)
+              ~cycle:!cycle
+         || must_capture (i + 1))
     in
-    let must_capture () =
-      let rec go i =
-        i < n
-        && (Core_model.fetch_bound cores.(i) ~cycle:!cycle > forks_fetch.(i)
-           || Core_model.rob_issue_reaches cores.(i) ~fork:forks_exec.(i)
-                ~cycle:!cycle
-           || go (i + 1))
-      in
-      go 0
-    in
-    while (not (all_done ())) && !cycle < max_cycles do
-      if !captured < 0 && must_capture () then begin
+    while (not (all_done cores ms)) && !cycle < max_cycles do
+      if !captured < 0 && must_capture 0 then begin
         Cpoint.capture reg kbufs.Ctx.k_reg;
         Memsys.capture ms kbufs.Ctx.k_ms;
         Array.iteri (fun i c -> Core_model.capture c kbufs.Ctx.k_cores.(i)) cores;
         captured := !cycle
       end;
-      Cpoint.set_cycle reg !cycle;
-      Array.iter (fun c -> Core_model.step c ~cycle:!cycle) cores;
-      Memsys.tick ms ~cycle:!cycle;
+      step_cycle reg ms cores ~cycle:!cycle;
       incr cycle
     done;
     let r0 = collect reg cores ~cycles:!cycle ~max_cycles in

@@ -8,8 +8,8 @@ type transfer = {
   writeback : bool;
   tainted : bool;
   mutable ready_at : int;
-  mutable granted_at : int option;
-  mutable complete_at : int option;
+  mutable granted_at : int;  (* -1 until granted *)
+  mutable complete_at : int;  (* [max_int] until granted *)
   mutable processed : bool;
   mshr_idx : int option;
 }
@@ -28,11 +28,13 @@ type t = {
   mutable transfers : transfer list;
   mutable channel_busy_until : int;
   mshrs : mshr_entry option array array;  (** [core].(idx) *)
-  load_waiters : (int * int64, waiter list ref) Hashtbl.t;
-  store_waiters : (int * int64, waiter list ref) Hashtbl.t;
-  load_ready_tbl : (int * int, int) Hashtbl.t;  (** (core, rob) -> cycle *)
-  store_ready_tbl : (int * int, int) Hashtbl.t;
-  ifetch_ready_tbl : (int * int64, int) Hashtbl.t;  (** (core, line) -> cycle *)
+  (* Per-core tables, indexed by core: DCache line number -> waiters,
+     ROB id -> ready cycle, ICache line number -> ready cycle. *)
+  load_waiters : waiter list ref Int_tbl.t array;
+  store_waiters : waiter list ref Int_tbl.t array;
+  load_ready_tbl : int Int_tbl.t array;
+  store_ready_tbl : int Int_tbl.t array;
+  ifetch_ready_tbl : int Int_tbl.t array;
   icache_port_busy : int array;  (** per core: busy-until cycle *)
   write_lb_busy : int array;  (** per core: write line buffer busy-until *)
   p_channel : Cpoint.t;
@@ -71,6 +73,7 @@ let create (cfg : Config.t) reg ~cores =
           ~name:(Printf.sprintf "c%d.%s" c name)
           ~component ~sources ?persistent_subs ())
   in
+  let per_core_tbl () = Array.init cores (fun _ -> Int_tbl.create 16) in
   let l1d_cache = Cache.create cfg.dcache in
   let dcache_sets = Cache.n_sets l1d_cache in
   {
@@ -85,11 +88,11 @@ let create (cfg : Config.t) reg ~cores =
     transfers = [];
     channel_busy_until = 0;
     mshrs = Array.init cores (fun _ -> Array.make (max cfg.mshrs 1) None);
-    load_waiters = Hashtbl.create 32;
-    store_waiters = Hashtbl.create 32;
-    load_ready_tbl = Hashtbl.create 32;
-    store_ready_tbl = Hashtbl.create 32;
-    ifetch_ready_tbl = Hashtbl.create 32;
+    load_waiters = per_core_tbl ();
+    store_waiters = per_core_tbl ();
+    load_ready_tbl = per_core_tbl ();
+    store_ready_tbl = per_core_tbl ();
+    ifetch_ready_tbl = per_core_tbl ();
     icache_port_busy = Array.make cores (-1);
     write_lb_busy = Array.make cores (-1);
     p_channel =
@@ -125,29 +128,30 @@ let reset t =
   t.transfers <- [];
   t.channel_busy_until <- 0;
   Array.iter (fun m -> Array.fill m 0 (Array.length m) None) t.mshrs;
-  Hashtbl.reset t.load_waiters;
-  Hashtbl.reset t.store_waiters;
-  Hashtbl.reset t.load_ready_tbl;
-  Hashtbl.reset t.store_ready_tbl;
-  Hashtbl.reset t.ifetch_ready_tbl;
+  Array.iter Int_tbl.reset t.load_waiters;
+  Array.iter Int_tbl.reset t.store_waiters;
+  Array.iter Int_tbl.reset t.load_ready_tbl;
+  Array.iter Int_tbl.reset t.store_ready_tbl;
+  Array.iter Int_tbl.reset t.ifetch_ready_tbl;
   Array.fill t.icache_port_busy 0 (Array.length t.icache_port_busy) (-1);
   Array.fill t.write_lb_busy 0 (Array.length t.write_lb_busy) (-1)
 
 (* Checkpoint support.  Transfers are mutable records, so capture deep-
    copies each one (preserving list order — grant arbitration folds over
-   the list).  Waiter lists are captured as [(key, contents)] and restored
-   into fresh refs with their order preserved.  The remaining hashtables
-   are read only via [find_opt], so assoc-list replay is faithful. *)
+   the list).  Each per-core table is captured as an association list;
+   waiter lists are restored into fresh refs with their order preserved.
+   Every table is read only via [find_opt], so replay order never shows
+   through. *)
 
 type save = {
   mutable s_transfers : transfer list;
   mutable s_channel_busy_until : int;
   s_mshrs : mshr_entry option array array;
-  mutable s_load_waiters : ((int * int64) * waiter list) list;
-  mutable s_store_waiters : ((int * int64) * waiter list) list;
-  mutable s_load_ready : ((int * int) * int) list;
-  mutable s_store_ready : ((int * int) * int) list;
-  mutable s_ifetch_ready : ((int * int64) * int) list;
+  s_load_waiters : (int * waiter list) list array;
+  s_store_waiters : (int * waiter list) list array;
+  s_load_ready : (int * int) list array;
+  s_store_ready : (int * int) list array;
+  s_ifetch_ready : (int * int) list array;
   s_icache_port_busy : int array;
   s_write_lb_busy : int array;
   s_l1i : Cache.save array;
@@ -156,15 +160,16 @@ type save = {
 }
 
 let make_save t =
+  let per_core () = Array.make t.cores [] in
   {
     s_transfers = [];
     s_channel_busy_until = 0;
     s_mshrs = Array.map (fun m -> Array.make (Array.length m) None) t.mshrs;
-    s_load_waiters = [];
-    s_store_waiters = [];
-    s_load_ready = [];
-    s_store_ready = [];
-    s_ifetch_ready = [];
+    s_load_waiters = per_core ();
+    s_store_waiters = per_core ();
+    s_load_ready = per_core ();
+    s_store_ready = per_core ();
+    s_ifetch_ready = per_core ();
     s_icache_port_busy = Array.make t.cores (-1);
     s_write_lb_busy = Array.make t.cores (-1);
     s_l1i = Array.map Cache.make_save t.l1i;
@@ -172,23 +177,27 @@ let make_save t =
     s_l2 = Cache.make_save t.l2;
   }
 
-let assoc_of_tbl tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+let capture_tbls f tbls saved =
+  Array.iteri
+    (fun c tbl -> saved.(c) <- Int_tbl.fold (fun k v acc -> (k, f v) :: acc) tbl [])
+    tbls
 
-let tbl_of_assoc tbl assoc =
-  Hashtbl.reset tbl;
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) assoc
+let restore_tbls f tbls saved =
+  Array.iteri
+    (fun c tbl ->
+      Int_tbl.reset tbl;
+      List.iter (fun (k, v) -> Int_tbl.replace tbl k (f v)) saved.(c))
+    tbls
 
 let capture t sv =
   sv.s_transfers <- List.map (fun tr -> { tr with ready_at = tr.ready_at }) t.transfers;
   sv.s_channel_busy_until <- t.channel_busy_until;
   Array.iteri (fun i m -> Array.blit m 0 sv.s_mshrs.(i) 0 (Array.length m)) t.mshrs;
-  sv.s_load_waiters <-
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.load_waiters [];
-  sv.s_store_waiters <-
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.store_waiters [];
-  sv.s_load_ready <- assoc_of_tbl t.load_ready_tbl;
-  sv.s_store_ready <- assoc_of_tbl t.store_ready_tbl;
-  sv.s_ifetch_ready <- assoc_of_tbl t.ifetch_ready_tbl;
+  capture_tbls ( ! ) t.load_waiters sv.s_load_waiters;
+  capture_tbls ( ! ) t.store_waiters sv.s_store_waiters;
+  capture_tbls Fun.id t.load_ready_tbl sv.s_load_ready;
+  capture_tbls Fun.id t.store_ready_tbl sv.s_store_ready;
+  capture_tbls Fun.id t.ifetch_ready_tbl sv.s_ifetch_ready;
   Array.blit t.icache_port_busy 0 sv.s_icache_port_busy 0 t.cores;
   Array.blit t.write_lb_busy 0 sv.s_write_lb_busy 0 t.cores;
   Array.iteri (fun i c -> Cache.capture c sv.s_l1i.(i)) t.l1i;
@@ -199,21 +208,19 @@ let restore t sv =
   t.transfers <- List.map (fun tr -> { tr with ready_at = tr.ready_at }) sv.s_transfers;
   t.channel_busy_until <- sv.s_channel_busy_until;
   Array.iteri (fun i m -> Array.blit sv.s_mshrs.(i) 0 m 0 (Array.length m)) t.mshrs;
-  Hashtbl.reset t.load_waiters;
-  List.iter (fun (k, l) -> Hashtbl.replace t.load_waiters k (ref l)) sv.s_load_waiters;
-  Hashtbl.reset t.store_waiters;
-  List.iter (fun (k, l) -> Hashtbl.replace t.store_waiters k (ref l)) sv.s_store_waiters;
-  tbl_of_assoc t.load_ready_tbl sv.s_load_ready;
-  tbl_of_assoc t.store_ready_tbl sv.s_store_ready;
-  tbl_of_assoc t.ifetch_ready_tbl sv.s_ifetch_ready;
+  restore_tbls ref t.load_waiters sv.s_load_waiters;
+  restore_tbls ref t.store_waiters sv.s_store_waiters;
+  restore_tbls Fun.id t.load_ready_tbl sv.s_load_ready;
+  restore_tbls Fun.id t.store_ready_tbl sv.s_store_ready;
+  restore_tbls Fun.id t.ifetch_ready_tbl sv.s_ifetch_ready;
   Array.blit sv.s_icache_port_busy 0 t.icache_port_busy 0 t.cores;
   Array.blit sv.s_write_lb_busy 0 t.write_lb_busy 0 t.cores;
   Array.iteri (fun i c -> Cache.restore c sv.s_l1i.(i)) t.l1i;
   Array.iteri (fun i c -> Cache.restore c sv.s_l1d.(i)) t.l1d;
   Cache.restore t.l2 sv.s_l2
 
-let find_transfer t ~core ~kind ~line =
-  List.find_opt
+let refill_in_flight t ~core ~kind ~line =
+  List.exists
     (fun tr ->
       tr.core = core && tr.kind = kind && Int64.equal tr.line line
       && not tr.writeback && not tr.processed)
@@ -230,7 +237,7 @@ let l2_ready_time t ~cycle ~line ~seq ~tainted =
 let start_refill t ~core ~kind ~line ~seq ~cycle ~mshr_idx ~tainted =
   Cpoint.request t.reg t.p_l2 ~tainted
     ~source:((core * 2) + match kind with `I -> 0 | `D -> 1)
-    ~data:line;
+    ~data:(Int64.to_int line);
   let tr =
     {
       line;
@@ -240,8 +247,8 @@ let start_refill t ~core ~kind ~line ~seq ~cycle ~mshr_idx ~tainted =
       writeback = false;
       tainted;
       ready_at = l2_ready_time t ~cycle ~line ~seq ~tainted;
-      granted_at = None;
-      complete_at = None;
+      granted_at = -1;
+      complete_at = max_int;
       processed = false;
       mshr_idx;
     }
@@ -255,10 +262,11 @@ let write_lb_occupancy = 8
 
 let enqueue_writeback t ~core ~line ~cycle ~tainted =
   let p = t.p_lb_write.(core) in
-  Cpoint.request t.reg p ~tainted ~source:0 ~data:line;
+  let data = Int64.to_int line in
+  Cpoint.request t.reg p ~tainted ~source:0 ~data;
   let start = max cycle (t.write_lb_busy.(core) + 1) in
   let delay = start - cycle in
-  if delay > 0 then Cpoint.request t.reg p ~tainted ~source:1 ~data:line;
+  if delay > 0 then Cpoint.request t.reg p ~tainted ~source:1 ~data;
   t.write_lb_busy.(core) <- start + write_lb_occupancy - 1;
   let tr =
     {
@@ -269,8 +277,8 @@ let enqueue_writeback t ~core ~line ~cycle ~tainted =
       writeback = true;
       tainted;
       ready_at = cycle + delay;
-      granted_at = None;
-      complete_at = None;
+      granted_at = -1;
+      complete_at = max_int;
       processed = false;
       mshr_idx = None;
     }
@@ -282,30 +290,26 @@ let enqueue_writeback t ~core ~line ~cycle ~tainted =
 let ifetch t ~core ~addr ~cycle ~tainted =
   let line = Cache.line_addr t.l1i.(core) addr in
   let port = t.p_icache_port.(core) in
-  Cpoint.request t.reg port ~tainted ~source:0 ~data:line;
+  Cpoint.request t.reg port ~tainted ~source:0 ~data:(Int64.to_int line);
   if t.icache_port_busy.(core) >= cycle then Blocked "icache port busy (refill)"
   else
     match Cache.lookup t.l1i.(core) addr with
     | Some _ -> Ready (cycle + t.cfg.icache.hit_latency)
-    | None -> (
-        match find_transfer t ~core ~kind:`I ~line with
-        | Some _ -> Waiting
-        | None ->
-            start_refill t ~core ~kind:`I ~line ~seq:(-1) ~cycle ~mshr_idx:None
-              ~tainted;
-            Waiting)
+    | None ->
+        if not (refill_in_flight t ~core ~kind:`I ~line) then
+          start_refill t ~core ~kind:`I ~line ~seq:(-1) ~cycle ~mshr_idx:None
+            ~tainted;
+        Waiting
 
-let ifetch_ready t ~core ~addr =
-  let line = Cache.line_addr t.l1i.(core) addr in
-  Hashtbl.find_opt t.ifetch_ready_tbl (core, line)
+let ifetch_ready t ~core ~line = Int_tbl.find_opt t.ifetch_ready_tbl.(core) line
 
 (* --- Data loads --- *)
 
 let add_waiter tbl key rob tainted =
   let w = { w_rob = rob; w_tainted = tainted } in
-  match Hashtbl.find_opt tbl key with
+  match Int_tbl.find_opt tbl key with
   | Some l -> if not (List.exists (fun x -> x.w_rob = rob) !l) then l := w :: !l
-  | None -> Hashtbl.replace tbl key (ref [ w ])
+  | None -> Int_tbl.replace tbl key (ref [ w ])
 
 let mshr_lookup t ~core ~line =
   let set = Cache.set_index t.l1d.(core) line in
@@ -332,8 +336,9 @@ let d_miss_in_flight t core =
 let dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store ~is_sc =
   let l1d = t.l1d.(core) in
   let line = Cache.line_addr l1d addr in
+  let data = Int64.to_int line in
   let source = if is_store then 1 else 0 in
-  Cpoint.request t.reg t.p_dport.(core) ~tainted ~source ~data:line;
+  Cpoint.request t.reg t.p_dport.(core) ~tainted ~source ~data;
   match Cache.lookup l1d addr with
   | Some info ->
       if is_store then begin
@@ -341,13 +346,13 @@ let dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store ~is_sc =
         ignore (Cache.mark_dirty l1d addr);
         if is_sc then
           Cpoint.persistent t.reg t.p_dfill.(core) ~tainted ~source:1
-            ~sub:(Cache.set_index l1d line) ~data:line
+            ~sub:(Cache.set_index l1d line) ~data
       end
       else if info.filler_seq > seq then
         (* S11: hit on a line filled by a younger in-flight instruction. *)
         Cpoint.persistent t.reg t.p_dfill.(core)
           ~tainted:(tainted || info.filler_tainted)
-          ~source:0 ~sub:(Cache.set_index l1d line) ~data:line;
+          ~source:0 ~sub:(Cache.set_index l1d line) ~data;
       Ready (cycle + t.cfg.dcache.hit_latency)
   | None -> (
       (* S12: miss on a line another instruction's fill recently evicted. *)
@@ -356,56 +361,57 @@ let dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store ~is_sc =
          | Some (evictor, ev_tainted) when evictor <> seq ->
              Cpoint.persistent t.reg t.p_dfill.(core)
                ~tainted:(tainted || ev_tainted) ~source:0
-               ~sub:(Cache.set_index l1d line) ~data:line
+               ~sub:(Cache.set_index l1d line) ~data
          | Some _ | None -> ());
-      let waiters = if is_store then t.store_waiters else t.load_waiters in
-      match find_transfer t ~core ~kind:`D ~line with
-      | Some _ ->
-          (* sec-mode reuse of the in-flight MSHR. *)
-          Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:1 ~data:line;
-          add_waiter waiters (core, line) rob tainted;
+      let waiters =
+        (if is_store then t.store_waiters else t.load_waiters).(core)
+      in
+      let key = Cache.line_no l1d line in
+      if refill_in_flight t ~core ~kind:`D ~line then begin
+        (* sec-mode reuse of the in-flight MSHR. *)
+        Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:1 ~data;
+        add_waiter waiters key rob tainted;
+        Waiting
+      end
+      else if t.cfg.mshrs = 0 then begin
+        (* Blocking cache: one outstanding data miss. *)
+        if d_miss_in_flight t core then Blocked "blocking cache: miss in flight"
+        else begin
+          start_refill t ~core ~kind:`D ~line ~seq ~cycle ~mshr_idx:None
+            ~tainted;
+          add_waiter waiters key rob tainted;
           Waiting
-      | None ->
-          if t.cfg.mshrs = 0 then begin
-            (* Blocking cache: one outstanding data miss. *)
-            if d_miss_in_flight t core then Blocked "blocking cache: miss in flight"
-            else begin
-              start_refill t ~core ~kind:`D ~line ~seq ~cycle ~mshr_idx:None
-                ~tainted;
-              add_waiter waiters (core, line) rob tainted;
-              Waiting
-            end
-          end
-          else begin
-            let free, conflict = mshr_lookup t ~core ~line in
-            match conflict with
-            | `Same_set occupant_tainted ->
-                (* S5: set-index match, tag mismatch — refused until the
-                   occupying MSHR retires ("false sharing path blocking"). *)
-                Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:2 ~data:line;
-                Cpoint.persistent t.reg t.p_mshr.(core)
-                  ~tainted:(tainted || occupant_tainted) ~source:2
-                  ~sub:(Cache.set_index t.l1d.(core) line)
-                  ~data:line;
-                Blocked "mshr set conflict"
-            | `Same_line | `None -> (
-                match free with
-                | None -> Blocked "mshrs full"
-                | Some idx ->
-                    Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:0
-                      ~data:line;
-                    t.mshrs.(core).(idx) <-
-                      Some
-                        {
-                          m_line = line;
-                          m_set = Cache.set_index t.l1d.(core) line;
-                          m_tainted = tainted;
-                        };
-                    start_refill t ~core ~kind:`D ~line ~seq ~cycle
-                      ~mshr_idx:(Some idx) ~tainted;
-                    add_waiter waiters (core, line) rob tainted;
-                    Waiting)
-          end)
+        end
+      end
+      else begin
+        let free, conflict = mshr_lookup t ~core ~line in
+        match conflict with
+        | `Same_set occupant_tainted ->
+            (* S5: set-index match, tag mismatch — refused until the
+               occupying MSHR retires ("false sharing path blocking"). *)
+            Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:2 ~data;
+            Cpoint.persistent t.reg t.p_mshr.(core)
+              ~tainted:(tainted || occupant_tainted) ~source:2
+              ~sub:(Cache.set_index l1d line) ~data;
+            Blocked "mshr set conflict"
+        | `Same_line | `None -> (
+            match free with
+            | None -> Blocked "mshrs full"
+            | Some idx ->
+                Cpoint.request t.reg t.p_mshr.(core) ~tainted ~source:0
+                  ~data;
+                t.mshrs.(core).(idx) <-
+                  Some
+                    {
+                      m_line = line;
+                      m_set = Cache.set_index l1d line;
+                      m_tainted = tainted;
+                    };
+                start_refill t ~core ~kind:`D ~line ~seq ~cycle
+                  ~mshr_idx:(Some idx) ~tainted;
+                add_waiter waiters key rob tainted;
+                Waiting)
+      end)
 
 let dload t ~core ~seq ~rob ~addr ~cycle ~tainted =
   dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store:false ~is_sc:false
@@ -413,8 +419,8 @@ let dload t ~core ~seq ~rob ~addr ~cycle ~tainted =
 let dstore t ~core ~seq ~rob ~addr ~is_sc ~cycle ~tainted =
   dmem_access t ~core ~seq ~rob ~addr ~cycle ~tainted ~is_store:true ~is_sc
 
-let load_ready t ~core ~rob = Hashtbl.find_opt t.load_ready_tbl (core, rob)
-let store_ready t ~core ~rob = Hashtbl.find_opt t.store_ready_tbl (core, rob)
+let load_ready t ~core ~rob = Int_tbl.find_opt t.load_ready_tbl.(core) rob
+let store_ready t ~core ~rob = Int_tbl.find_opt t.store_ready_tbl.(core) rob
 
 (* --- Channel arbitration and completion --- *)
 
@@ -439,9 +445,11 @@ let complete_transfer t tr ~cycle =
              ~tainted:tr.tainted);
         (* The refill write occupies the ICache port, blocking fetch (S14). *)
         Cpoint.request t.reg t.p_icache_port.(tr.core) ~tainted:tr.tainted
-          ~source:1 ~data:tr.line;
+          ~source:1 ~data:(Int64.to_int tr.line);
         t.icache_port_busy.(tr.core) <- cycle;
-        Hashtbl.replace t.ifetch_ready_tbl (tr.core, tr.line) (cycle + 1)
+        Int_tbl.replace t.ifetch_ready_tbl.(tr.core)
+          (Cache.line_no t.l1i.(tr.core) tr.line)
+          (cycle + 1)
     | `D -> (
         let victim =
           Cache.fill t.l1d.(tr.core) tr.line ~seq:tr.requester_seq ~cycle
@@ -461,7 +469,8 @@ let complete_transfer t tr ~cycle =
         in
         (* Wake loads through the read line buffer: youngest first, one per
            cycle (S6). *)
-        (match Hashtbl.find_opt t.load_waiters (tr.core, tr.line) with
+        let key = Cache.line_no t.l1d.(tr.core) tr.line in
+        (match Int_tbl.find_opt t.load_waiters.(tr.core) key with
         | Some waiters ->
             let sorted =
               List.sort (fun a b -> compare b.w_rob a.w_rob) !waiters
@@ -472,68 +481,66 @@ let complete_transfer t tr ~cycle =
                 if n > 1 then
                   Cpoint.request t.reg t.p_lb_read.(tr.core) ~tainted:w.w_tainted
                     ~source:(if i = 0 then 1 else 0)
-                    ~data:tr.line;
-                Hashtbl.replace t.load_ready_tbl (tr.core, w.w_rob)
+                    ~data:(Int64.to_int tr.line);
+                Int_tbl.replace t.load_ready_tbl.(tr.core) w.w_rob
                   (cycle + 1 + (4 * i) + wb_penalty))
               sorted;
-            Hashtbl.remove t.load_waiters (tr.core, tr.line)
+            Int_tbl.remove t.load_waiters.(tr.core) key
         | None -> ());
-        match Hashtbl.find_opt t.store_waiters (tr.core, tr.line) with
+        match Int_tbl.find_opt t.store_waiters.(tr.core) key with
         | Some waiters ->
             ignore (Cache.mark_dirty t.l1d.(tr.core) tr.line);
             List.iter
               (fun w ->
-                Hashtbl.replace t.store_ready_tbl (tr.core, w.w_rob)
+                Int_tbl.replace t.store_ready_tbl.(tr.core) w.w_rob
                   (cycle + 1 + wb_penalty))
               !waiters;
-            Hashtbl.remove t.store_waiters (tr.core, tr.line)
+            Int_tbl.remove t.store_waiters.(tr.core) key
         | None -> ())
   end
 
-let tick t ~cycle =
-  (* Completions due this cycle. *)
-  List.iter
-    (fun tr ->
-      match tr.complete_at with
-      | Some c when c <= cycle && not tr.processed -> complete_transfer t tr ~cycle
-      | Some _ | None -> ())
-    t.transfers;
-  t.transfers <- List.filter (fun tr -> not tr.processed) t.transfers;
-  (* Channel grant. *)
-  if t.channel_busy_until <= cycle then begin
-    let ready =
-      List.filter (fun tr -> tr.granted_at = None && tr.ready_at <= cycle) t.transfers
-    in
-    match ready with
-    | [] -> ()
-    | _ ->
-        List.iter
-          (fun tr ->
-            Cpoint.request t.reg t.p_channel ~tainted:tr.tainted
-              ~source:
-                (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback)
-              ~data:tr.line)
-          ready;
+(* Complete every transfer due by [cycle], in list order; whether any
+   completed. *)
+let rec complete_due t ~cycle any = function
+  | [] -> any
+  | tr :: rest ->
+      if tr.complete_at <= cycle && not tr.processed then begin
+        complete_transfer t tr ~cycle;
+        complete_due t ~cycle true rest
+      end
+      else complete_due t ~cycle any rest
+
+let source_of tr = channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback
+
+(* Every ungranted transfer ready by [cycle] requests the channel, in list
+   order; the first one of the highest grant priority wins. *)
+let rec request_channel t ~cycle winner = function
+  | [] -> winner
+  | tr :: rest ->
+      if tr.granted_at < 0 && tr.ready_at <= cycle then begin
+        Cpoint.request t.reg t.p_channel ~tainted:tr.tainted ~source:(source_of tr)
+          ~data:(Int64.to_int tr.line);
         let winner =
-          List.fold_left
-            (fun best tr ->
-              match best with
-              | None -> Some tr
-              | Some b ->
-                  if grant_priority tr < grant_priority b then Some tr else best)
-            None ready
+          match winner with
+          | Some b when grant_priority tr >= grant_priority b -> winner
+          | Some _ | None -> Some tr
         in
-        Option.iter
-          (fun tr ->
-            Cpoint.grant t.reg t.p_channel
-              ~source:
-                (channel_source ~core:tr.core ~kind:tr.kind ~writeback:tr.writeback);
-            let beats = if tr.writeback then writeback_beats else read_beats in
-            tr.granted_at <- Some cycle;
-            tr.complete_at <- Some (cycle + beats);
-            t.channel_busy_until <- cycle + beats)
-          winner
-  end
+        request_channel t ~cycle winner rest
+      end
+      else request_channel t ~cycle winner rest
+
+let tick t ~cycle =
+  if complete_due t ~cycle false t.transfers then
+    t.transfers <- List.filter (fun tr -> not tr.processed) t.transfers;
+  if t.channel_busy_until <= cycle then
+    match request_channel t ~cycle None t.transfers with
+    | None -> ()
+    | Some tr ->
+        Cpoint.grant t.reg t.p_channel ~source:(source_of tr);
+        let beats = if tr.writeback then writeback_beats else read_beats in
+        tr.granted_at <- cycle;
+        tr.complete_at <- cycle + beats;
+        t.channel_busy_until <- cycle + beats
 
 let dcache_probe t ~core ~addr = Cache.probe t.l1d.(core) addr
-let busy t = t.transfers <> []
+let busy t = match t.transfers with [] -> false | _ :: _ -> true

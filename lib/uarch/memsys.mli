@@ -54,8 +54,9 @@ val ifetch :
     victim writeback) so the contention registry can tell risky contention
     apart (§6.1). *)
 
-val ifetch_ready : t -> core:int -> addr:int64 -> int option
-(** Cycle the fetch line became available, once its refill completed. *)
+val ifetch_ready : t -> core:int -> line:int -> int option
+(** Cycle the fetch line became available, once its refill completed.
+    [line] is the ICache line number, [addr lsr Cache.line_shift]. *)
 
 val dload :
   t ->

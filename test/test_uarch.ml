@@ -40,12 +40,12 @@ let test_cpoint_intervals_and_triggers () =
       ~sources:[ "a"; "b" ] () in
   Cpoint.open_window reg;
   Cpoint.set_cycle reg 10;
-  Cpoint.request reg p ~tainted:true ~source:0 ~data:1L;
+  Cpoint.request reg p ~tainted:true ~source:0 ~data:1;
   Cpoint.set_cycle reg 13;
-  Cpoint.request reg p ~tainted:true ~source:1 ~data:2L;
+  Cpoint.request reg p ~tainted:true ~source:1 ~data:2;
   Alcotest.(check (option int)) "pair interval 3" (Some 3) p.Cpoint.min_pair;
   checkb "not yet triggered" true (Cpoint.triggered_subs p = []);
-  Cpoint.request reg p ~tainted:true ~source:0 ~data:3L;
+  Cpoint.request reg p ~tainted:true ~source:0 ~data:3;
   checkb "same-cycle pair triggers" true (Cpoint.triggered_subs p <> [])
 
 let test_cpoint_taint_gating () =
@@ -54,11 +54,11 @@ let test_cpoint_taint_gating () =
       ~sources:[ "a"; "b" ] () in
   Cpoint.open_window reg;
   Cpoint.set_cycle reg 5;
-  Cpoint.request reg p ~tainted:false ~source:0 ~data:1L;
-  Cpoint.request reg p ~tainted:false ~source:1 ~data:2L;
+  Cpoint.request reg p ~tainted:false ~source:0 ~data:1;
+  Cpoint.request reg p ~tainted:false ~source:1 ~data:2;
   checkb "untainted pair does not trigger" true (Cpoint.triggered_subs p = []);
   Alcotest.(check (option int)) "untainted pair not recorded" None p.Cpoint.min_pair;
-  Cpoint.request reg p ~tainted:true ~source:0 ~data:3L;
+  Cpoint.request reg p ~tainted:true ~source:0 ~data:3;
   checkb "tainted member triggers" true (Cpoint.triggered_subs p <> [])
 
 (* Regression for the incremental active-source counter: dominance must
@@ -70,16 +70,16 @@ let test_cpoint_dominance_counter () =
       ~sources:[ "a"; "b"; "c" ] () in
   Cpoint.set_cycle reg 1;
   (* Out-of-window requests do not count as activity. *)
-  Cpoint.request reg p ~tainted:true ~source:1 ~data:1L;
+  Cpoint.request reg p ~tainted:true ~source:1 ~data:1;
   Cpoint.open_window reg;
   Cpoint.set_cycle reg 2;
-  Cpoint.request reg p ~tainted:true ~source:0 ~data:1L;
-  Cpoint.request reg p ~tainted:true ~source:0 ~data:2L;
-  Cpoint.request reg p ~tainted:true ~source:0 ~data:3L;
+  Cpoint.request reg p ~tainted:true ~source:0 ~data:1;
+  Cpoint.request reg p ~tainted:true ~source:0 ~data:2;
+  Cpoint.request reg p ~tainted:true ~source:0 ~data:3;
   checkb "one active source: still dominated" true p.Cpoint.single_valid_dominated;
   checki "active sources" 1 p.Cpoint.active_sources;
   Cpoint.set_cycle reg 3;
-  Cpoint.request reg p ~tainted:true ~source:2 ~data:4L;
+  Cpoint.request reg p ~tainted:true ~source:2 ~data:4;
   checkb "second source demotes" false p.Cpoint.single_valid_dominated;
   checki "two active sources" 2 p.Cpoint.active_sources
 
@@ -89,8 +89,8 @@ let test_cpoint_window_gating () =
       ~sources:[ "a"; "b" ] () in
   Cpoint.set_cycle reg 5;
   (* window closed *)
-  Cpoint.request reg p ~tainted:true ~source:0 ~data:1L;
-  Cpoint.request reg p ~tainted:true ~source:1 ~data:2L;
+  Cpoint.request reg p ~tainted:true ~source:0 ~data:1;
+  Cpoint.request reg p ~tainted:true ~source:1 ~data:2;
   checkb "closed window: no triggers" true (Cpoint.triggered_subs p = []);
   checki "closed window: no hits" 0 (p.Cpoint.hits.(0) + p.Cpoint.hits.(1))
 
@@ -101,7 +101,7 @@ let test_cpoint_single_source () =
   Cpoint.open_window reg;
   Cpoint.set_cycle reg 2;
   checkb "single-valid flagged" true p.Cpoint.single_valid;
-  Cpoint.request reg p ~tainted:true ~source:0 ~data:7L;
+  Cpoint.request reg p ~tainted:true ~source:0 ~data:7;
   checkb "triggers on first risky request" true (Cpoint.triggered_subs p <> [])
 
 let test_cpoint_pair_name () =
@@ -118,11 +118,258 @@ let test_cpoint_persistent () =
       ~sources:[ "ld"; "st" ] ~persistent_subs:64 () in
   Cpoint.open_window reg;
   Cpoint.set_cycle reg 1;
-  Cpoint.persistent reg p ~tainted:false ~source:0 ~sub:5 ~data:1L;
+  Cpoint.persistent reg p ~tainted:false ~source:0 ~sub:5 ~data:1;
   checkb "untainted persistent ignored" true (Cpoint.triggered_subs p = []);
-  Cpoint.persistent reg p ~tainted:true ~source:0 ~sub:5 ~data:1L;
+  Cpoint.persistent reg p ~tainted:true ~source:0 ~sub:5 ~data:1;
   checkb "tainted persistent triggers" true
     (List.exists (fun (k, _) -> k = Cpoint.Persistent) (Cpoint.triggered_subs p))
+
+(* A point registered without [persistent_subs] has no persistent
+   sub-point range: reporting into it used to write one index past
+   [max_subs], letting [triggered_weight] exceed the fanout. *)
+let test_cpoint_persistent_undeclared () =
+  let reg = registry () in
+  let p = Cpoint.point reg ~name:"t.nopers" ~component:Sonar_ir.Component.Lsu
+      ~sources:[ "ld"; "st" ] () in
+  Cpoint.open_window reg;
+  Cpoint.set_cycle reg 1;
+  checkb "persistent on undeclared point rejected" true
+    (match Cpoint.persistent reg p ~tainted:true ~source:0 ~sub:0 ~data:1 with
+    | exception Invalid_argument _ -> true
+    | () -> false);
+  checkb "nothing triggered" true (Cpoint.triggered_subs p = []);
+  checkb "weight within fanout" true
+    (Cpoint.triggered_weight p <= float_of_int p.Cpoint.fanout)
+
+(* Representation oracle: the registry's dense per-point state against a
+   naive reference built on association lists, over random points and
+   random sequences of every registry operation.  The reference follows
+   the documented semantics directly: source pairs are found by searching
+   the pair list, data buckets use 64-bit arithmetic, triggered
+   sub-points and pair minima are unsorted association lists. *)
+type cp_op =
+  | Cp_advance of int
+  | Cp_open
+  | Cp_close
+  | Cp_request of bool * int * int
+  | Cp_grant of int
+  | Cp_persistent of bool * int * int * int
+  | Cp_capture
+  | Cp_restore
+  | Cp_reset
+
+type cp_ref = {
+  mutable r_cycle : int;
+  mutable r_open : bool;
+  mutable r_first : int option;
+  mutable r_last : int option;
+  r_last_valid : int array;
+  r_hits : int array;
+  r_last_tainted : bool array;
+  mutable r_min_pair : int option;
+  mutable r_min_self : int option;
+  mutable r_trig : (Cpoint.kind * int) list;
+  mutable r_pair_min : (int * int) list;
+  mutable r_digest : int;
+}
+
+let cp_name = "t.oracle"
+
+let cp_fresh n =
+  {
+    r_cycle = 0;
+    r_open = false;
+    r_first = None;
+    r_last = None;
+    r_last_valid = Array.make n (-1);
+    r_hits = Array.make n 0;
+    r_last_tainted = Array.make n false;
+    r_min_pair = None;
+    r_min_self = None;
+    r_trig = [];
+    r_pair_min = [];
+    r_digest = Hashtbl.hash cp_name;
+  }
+
+let cp_copy r =
+  {
+    r with
+    r_last_valid = Array.copy r.r_last_valid;
+    r_hits = Array.copy r.r_hits;
+    r_last_tainted = Array.copy r.r_last_tainted;
+  }
+
+let cp_assign dst src =
+  dst.r_cycle <- src.r_cycle;
+  dst.r_open <- src.r_open;
+  dst.r_first <- src.r_first;
+  dst.r_last <- src.r_last;
+  Array.blit src.r_last_valid 0 dst.r_last_valid 0 (Array.length src.r_last_valid);
+  Array.blit src.r_hits 0 dst.r_hits 0 (Array.length src.r_hits);
+  Array.blit src.r_last_tainted 0 dst.r_last_tainted 0
+    (Array.length src.r_last_tainted);
+  dst.r_min_pair <- src.r_min_pair;
+  dst.r_min_self <- src.r_min_self;
+  dst.r_trig <- src.r_trig;
+  dst.r_pair_min <- src.r_pair_min;
+  dst.r_digest <- src.r_digest
+
+let cp_mix d v = (d * 0x01000193) lxor (v land 0xFFFFFF)
+let cp_min cur v = match cur with Some m when m <= v -> cur | _ -> Some v
+
+let cp_bucket data =
+  Int64.to_int
+    (Int64.unsigned_rem (Int64.mul (Int64.of_int data) 0x9E3779B9L) 64L)
+
+let cp_pairs n =
+  List.concat_map
+    (fun i -> List.init (n - i - 1) (fun k -> (i, i + 1 + k)))
+    (List.init n Fun.id)
+
+let cp_trigger r k = if not (List.mem k r.r_trig) then r.r_trig <- k :: r.r_trig
+
+let cp_step ~n ~persistent_subs r = function
+  | Cp_advance d ->
+      r.r_cycle <- r.r_cycle + d;
+      if r.r_open then r.r_last <- Some r.r_cycle
+  | Cp_open ->
+      r.r_open <- true;
+      if r.r_first = None then r.r_first <- Some r.r_cycle;
+      r.r_last <- Some r.r_cycle
+  | Cp_close -> r.r_open <- false
+  | Cp_request (tainted, src, data) ->
+      let cycle = r.r_cycle in
+      if r.r_open then begin
+        r.r_hits.(src) <- r.r_hits.(src) + 1;
+        r.r_digest <- cp_mix (cp_mix r.r_digest (src + (cycle land 0xFF))) (data land 0xFFFF);
+        if n = 1 && tainted then cp_trigger r (Cpoint.Volatile, cp_bucket data);
+        if r.r_last_valid.(src) >= 0 then
+          r.r_min_self <- cp_min r.r_min_self (cycle - r.r_last_valid.(src));
+        for other = 0 to n - 1 do
+          if other <> src && r.r_last_valid.(other) >= 0
+             && (tainted || r.r_last_tainted.(other))
+          then begin
+            let interval = cycle - r.r_last_valid.(other) in
+            let key = (min src other, max src other) in
+            let pair =
+              fst (List.find (fun (_, k) -> k = key) (List.mapi (fun i k -> (i, k)) (cp_pairs n)))
+            in
+            r.r_min_pair <- cp_min r.r_min_pair interval;
+            r.r_pair_min <-
+              (pair, Option.get (cp_min (List.assoc_opt pair r.r_pair_min) interval))
+              :: List.remove_assoc pair r.r_pair_min;
+            if interval = 0 then
+              cp_trigger r (Cpoint.Volatile, (pair * Cpoint.data_buckets) + cp_bucket data)
+          end
+        done
+      end;
+      r.r_last_valid.(src) <- cycle;
+      r.r_last_tainted.(src) <- tainted
+  | Cp_grant src -> if r.r_open then r.r_digest <- cp_mix r.r_digest (0x5A + src)
+  | Cp_persistent (tainted, src, sub, data) ->
+      if r.r_open then begin
+        r.r_digest <- cp_mix (cp_mix r.r_digest (0xBEEF + src)) (data land 0xFFFF);
+        if tainted then
+          let volatile_slots = max 1 (List.length (cp_pairs n)) * Cpoint.data_buckets in
+          cp_trigger r (Cpoint.Persistent, volatile_slots + (sub mod persistent_subs))
+      end
+  | Cp_capture | Cp_restore | Cp_reset -> assert false
+
+let cp_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 6 and* persistent_subs = oneofl [ 0; 0; 1; 5; 64 ] in
+  let data = oneof [ int; int_range 0 1000 ] in
+  let op =
+    frequency
+      ([
+         (4, map (fun d -> Cp_advance d) (int_range 0 3));
+         (1, return Cp_open);
+         (1, return Cp_close);
+         (8, map3 (fun t s d -> Cp_request (t, s, d)) bool (int_range 0 (n - 1)) data);
+         (1, map (fun s -> Cp_grant s) (int_range 0 (n - 1)));
+         (1, return Cp_capture);
+         (1, return Cp_restore);
+         (1, return Cp_reset);
+       ]
+      @
+      if persistent_subs = 0 then []
+      else
+        [
+          ( 2,
+            map3
+              (fun (t, s) sub d -> Cp_persistent (t, s, sub, d))
+              (pair bool (int_range 0 (n - 1)))
+              (int_range 0 200) data );
+        ])
+  in
+  let* ops = list_size (int_range 0 80) op in
+  return (n, persistent_subs, ops)
+
+let prop_cpoint_oracle =
+  QCheck2.Test.make ~name:"dense cpoint state = association-list reference"
+    ~count:300 cp_gen (fun (n, persistent_subs, ops) ->
+      let reg = registry () in
+      let p =
+        Cpoint.point reg ~name:cp_name ~component:Sonar_ir.Component.Lsu
+          ~sources:(List.init n (Printf.sprintf "s%d"))
+          ~persistent_subs ()
+      in
+      let sv = Cpoint.make_save reg in
+      let r = cp_fresh n in
+      let saved = ref None in
+      let max_subs =
+        (max 1 (List.length (cp_pairs n)) * Cpoint.data_buckets) + persistent_subs
+      in
+      let agrees () =
+        let trig = List.sort compare r.r_trig in
+        Cpoint.snapshot p
+        = {
+            Cpoint.point_name = cp_name;
+            s_hits = r.r_hits;
+            s_min_pair = r.r_min_pair;
+            s_min_self = r.r_min_self;
+            s_triggered = trig;
+            s_digest = r.r_digest;
+          }
+        && Cpoint.triggered_subs p = trig
+        && Cpoint.pair_intervals p = List.sort compare r.r_pair_min
+        && Cpoint.triggered_weight p
+           = float_of_int (Config.fanout_of Config.boom cp_name)
+             *. float_of_int (List.length trig)
+             /. float_of_int max_subs
+        && Cpoint.window_bounds reg
+           = (match (r.r_first, r.r_last) with
+             | Some a, Some b -> Some (a, b)
+             | _ -> None)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Cp_advance d -> Cpoint.set_cycle reg (r.r_cycle + d)
+          | Cp_open -> Cpoint.open_window reg
+          | Cp_close -> Cpoint.close_window reg
+          | Cp_request (tainted, source, data) ->
+              Cpoint.request reg p ~tainted ~source ~data
+          | Cp_grant source -> Cpoint.grant reg p ~source
+          | Cp_persistent (tainted, source, sub, data) ->
+              Cpoint.persistent reg p ~tainted ~source ~sub ~data
+          | Cp_capture | Cp_restore | Cp_reset -> ());
+          (match op with
+          | Cp_capture ->
+              Cpoint.capture reg sv;
+              saved := Some (cp_copy r)
+          | Cp_restore -> (
+              match !saved with
+              | Some s ->
+                  Cpoint.restore reg sv;
+                  cp_assign r s
+              | None -> ())
+          | Cp_reset ->
+              Cpoint.reset reg;
+              cp_assign r (cp_fresh n)
+          | _ -> cp_step ~n ~persistent_subs r op);
+          agrees ())
+        ops)
 
 let test_cpoint_snapshot_diff () =
   let mk hits =
@@ -132,7 +379,7 @@ let test_cpoint_snapshot_diff () =
     Cpoint.open_window reg;
     for c = 1 to hits do
       Cpoint.set_cycle reg c;
-      Cpoint.request reg p ~tainted:true ~source:0 ~data:(Int64.of_int c)
+      Cpoint.request reg p ~tainted:true ~source:0 ~data:c
     done;
     Cpoint.snapshot p
   in
@@ -140,6 +387,49 @@ let test_cpoint_snapshot_diff () =
     (Cpoint.diff_snapshots [ mk 3 ] [ mk 3 ] = []);
   checkb "different activity: diff" true
     (Cpoint.diff_snapshots [ mk 3 ] [ mk 5 ] <> [])
+
+(* --- Ring --- *)
+
+type ring_op = Push of int | Pop | Filter_even | Clear
+
+(* The ring against a list, through wrap-around and growth past the
+   initial capacity. *)
+let prop_ring_matches_list =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, map (fun x -> Push x) (int_range 0 999));
+          (3, return Pop);
+          (1, return Filter_even);
+          (1, return Clear);
+        ])
+  in
+  QCheck2.Test.make ~name:"ring = list model" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 120) op)
+    (fun ops ->
+      let r = Ring.create (-1) in
+      let contents () = List.init (Ring.length r) (Ring.get r) in
+      let model =
+        List.fold_left
+          (fun l op ->
+            (match op with
+            | Push x -> Ring.push r x
+            | Pop -> if l <> [] then Ring.pop r
+            | Filter_even -> Ring.filter_in_place (fun x -> x mod 2 = 0) r
+            | Clear -> Ring.clear r);
+            let l =
+              match op with
+              | Push x -> l @ [ x ]
+              | Pop -> ( match l with [] -> [] | _ :: rest -> rest)
+              | Filter_even -> List.filter (fun x -> x mod 2 = 0) l
+              | Clear -> []
+            in
+            if contents () <> l then failwith "ring diverged";
+            l)
+          [] ops
+      in
+      Ring.is_empty r = (model = []))
 
 (* --- Cache --- *)
 
@@ -504,6 +794,17 @@ let prop_checkpoint_equivalent =
    window, the cycle count or the checkpoint's saved cycles moves it.
    A performance change to the model must leave the constant alone; a
    deliberate behaviour change updates it and says why. *)
+(* The model-digest testcase set: 40 seeded random testcases, single- or
+   dual-core, materialized under both secrets. *)
+let digest_cases dual =
+  List.init 40 (fun k ->
+      let seed = k + 1 in
+      let rng = Sonar.Rng.create (Int64.of_int seed) in
+      let tc = Sonar.Testcase.random rng ~id:seed ~dual in
+      (Sonar.Testcase.materialize tc ~secret:0, Sonar.Testcase.materialize tc ~secret:1))
+
+let digest_configs = [ Config.boom; Config.nutshell ]
+
 let model_digest () =
   let b = Buffer.create (1 lsl 16) in
   let add v = Buffer.add_string b (Marshal.to_string v [ Marshal.No_sharing ]) in
@@ -524,23 +825,47 @@ let model_digest () =
       let ctx = Machine.Ctx.create cfg in
       List.iter
         (fun dual ->
-          for seed = 1 to 40 do
-            let rng = Sonar.Rng.create (Int64.of_int seed) in
-            let tc = Sonar.Testcase.random rng ~id:seed ~dual in
-            let i0 = Sonar.Testcase.materialize tc ~secret:0 in
-            let i1 = Sonar.Testcase.materialize tc ~secret:1 in
-            let r0, r1, cp = Machine.run_dual ~ctx cfg i0 i1 in
-            add_result r0;
-            add_result r1;
-            add cp.Machine.cycles_saved
-          done)
+          List.iter
+            (fun (i0, i1) ->
+              let r0, r1, cp = Machine.run_dual ~ctx cfg i0 i1 in
+              add_result r0;
+              add_result r1;
+              add cp.Machine.cycles_saved)
+            (digest_cases dual))
         [ false; true ])
-    [ Config.boom; Config.nutshell ];
+    digest_configs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let test_machine_model_digest () =
   Alcotest.(check string) "run_dual digest" "ca144254b78c37f47c68dec8ea903071"
     (model_digest ())
+
+(* Allocation ceiling for the cycle loop, in the spirit of the RTL
+   engine's zero-allocation test: minor-heap words allocated by
+   [Machine.run_dual] over the model-digest testcase set, one reused
+   context per design (testcase generation is outside the count).  The
+   count repeats exactly on one domain; the bound is the measured count
+   plus 10%, so a change that brings back per-cycle garbage fails here. *)
+let run_dual_words_measured = 4_034_667.
+let run_dual_words_bound = run_dual_words_measured *. 1.10
+
+let test_machine_alloc_ceiling () =
+  let cases = [ digest_cases false; digest_cases true ] in
+  let words = ref 0. in
+  List.iter
+    (fun cfg ->
+      let ctx = Machine.Ctx.create cfg in
+      List.iter
+        (fun l ->
+          let before = Gc.minor_words () in
+          List.iter (fun (i0, i1) -> ignore (Machine.run_dual ~ctx cfg i0 i1)) l;
+          words := !words +. (Gc.minor_words () -. before))
+        cases)
+    digest_configs;
+  checkb
+    (Printf.sprintf "run_dual minor words %.0f <= %.0f" !words run_dual_words_bound)
+    true
+    (!words <= run_dual_words_bound)
 
 (* Golden/uarch architectural equivalence over random testcases. *)
 let prop_machine_matches_golden =
@@ -576,7 +901,11 @@ let () =
           Alcotest.test_case "pair names" `Quick test_cpoint_pair_name;
           Alcotest.test_case "persistent subs" `Quick test_cpoint_persistent;
           Alcotest.test_case "snapshot diff" `Quick test_cpoint_snapshot_diff;
-        ] );
+          Alcotest.test_case "persistent needs declared subs" `Quick
+            test_cpoint_persistent_undeclared;
+        ]
+        @ qcheck [ prop_cpoint_oracle ] );
+      ("ring", qcheck [ prop_ring_matches_list ]);
       ( "cache",
         [
           Alcotest.test_case "hit/miss" `Quick test_cache_hit_miss;
@@ -609,6 +938,8 @@ let () =
           Alcotest.test_case "checkpoint fork at instruction 0" `Quick
             test_checkpoint_fork_at_first_instr;
           Alcotest.test_case "model digest" `Quick test_machine_model_digest;
+          Alcotest.test_case "run_dual allocation ceiling" `Quick
+            test_machine_alloc_ceiling;
         ]
         @ qcheck [ prop_machine_matches_golden; prop_checkpoint_equivalent ] );
     ]
