@@ -29,44 +29,38 @@ type point_form =
 (* One contention point: a depth-d cascade emitted as chained nodes so the
    bottom-up tracer absorbs the inner MUXes through named references. *)
 let emit_point ~pid ~depth ~form stmts =
-  let n_leaves = depth + 1 in
-  let base = Printf.sprintf "pt%d" pid in
+  let base = "pt" ^ string_of_int pid in
   let add s = stmts := s :: !stmts in
+  let sel k = base ^ "_sel" ^ string_of_int k in
   (* Select inputs. *)
   for k = 0 to depth - 1 do
-    add (Stmt.Input { name = Printf.sprintf "%s_sel%d" base k; width = 1 })
+    add (Stmt.Input { name = sel k; width = 1 })
   done;
   let leaf j =
     match form with
     | Filtered_const -> Expr.lit ~width:8 (Int64.of_int ((j * 37) land 0xFF))
     | Filtered_novalid ->
-        let name = Printf.sprintf "nv%d_l%d" pid j in
+        let name = "nv" ^ string_of_int pid ^ "_l" ^ string_of_int j in
         add (Stmt.Input { name; width = 8 });
         Expr.reference name
     | Monitored n_valid ->
-        let name = Printf.sprintf "%s_req%d_data" base j in
+        let req = base ^ "_req" ^ string_of_int j in
+        let name = req ^ "_data" in
         add (Stmt.Input { name; width = 8 });
-        if j < n_valid then
-          add (Stmt.Input { name = Printf.sprintf "%s_req%d_valid" base j; width = 1 });
+        if j < n_valid then add (Stmt.Input { name = req ^ "_valid"; width = 1 });
         Expr.reference name
   in
   (* Build the chain bottom-up: m_{d-1} is the deepest MUX. *)
   let rec build level =
     if level = depth - 1 then
-      Expr.mux
-        (Expr.reference (Printf.sprintf "%s_sel%d" base level))
-        (leaf level) (leaf (level + 1))
+      Expr.mux (Expr.reference (sel level)) (leaf level) (leaf (level + 1))
     else begin
       let inner = build (level + 1) in
-      let inner_name = Printf.sprintf "%s_m%d" base (level + 1) in
+      let inner_name = base ^ "_m" ^ string_of_int (level + 1) in
       add (Stmt.Node { name = inner_name; expr = inner });
-      Expr.mux
-        (Expr.reference (Printf.sprintf "%s_sel%d" base level))
-        (leaf level)
-        (Expr.reference inner_name)
+      Expr.mux (Expr.reference (sel level)) (leaf level) (Expr.reference inner_name)
     end
   in
-  ignore n_leaves;
   let root = build 0 in
   add (Stmt.Node { name = base; expr = root });
   add (Stmt.Output { name = base ^ "_out"; width = 8 });
@@ -182,19 +176,21 @@ let generate ?(scale = 1.0) ?(pad = true) (cfg : Sonar_uarch.Config.t) =
       List.init n_modules (fun k ->
           let here = min per_module (pad_stmts - (k * per_module)) in
           let stmts = ref [ Stmt.Input { name = "in0"; width = 8 } ] in
+          let prev = ref "in0" in
           for j = 1 to here - 1 do
-            let prev = if j = 1 then "in0" else Printf.sprintf "d%d" (j - 1) in
+            let name = "d" ^ string_of_int j in
             stmts :=
               Stmt.Node
                 {
-                  name = Printf.sprintf "d%d" j;
+                  name;
                   expr =
                     Expr.prim Expr.Add
                       [
-                        Expr.reference prev; Expr.lit ~width:8 (Int64.of_int (j land 0xFF));
+                        Expr.reference !prev; Expr.lit ~width:8 (Int64.of_int (j land 0xFF));
                       ];
                 }
-              :: !stmts
+              :: !stmts;
+            prev := name
           done;
           Fmodule.make ~component:Component.Other
             (Printf.sprintf "Datapath%d" k)

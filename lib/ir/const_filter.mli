@@ -22,7 +22,8 @@ val classify_in : Validity.context -> Mux_tree.point -> classified
 (** Same, reusing a precomputed per-module context (linear overall). *)
 
 val classify_module : Fmodule.t -> classified list
-(** {!Mux_tree.points_of_module} composed with {!classify}. *)
+(** {!Mux_tree.points_of_module} composed with {!classify}. A module
+    without points builds no validity context. *)
 
 val monitored : classified list -> classified list
 val filtered_out : classified list -> classified list

@@ -62,7 +62,7 @@ let instrument_module m classified =
     let monitors =
       List.mapi
         (fun k (c : Const_filter.classified) ->
-          let base = Printf.sprintf "__mon%d" k in
+          let base = "__mon" ^ string_of_int k in
           (* Requests whose validity is observable, with their valid exprs. *)
           let observable =
             List.filteri
@@ -73,7 +73,7 @@ let instrument_module m classified =
           let valid_outputs =
             List.mapi
               (fun i valid_expr ->
-                let vname = Printf.sprintf "%s_v%d" base i in
+                let vname = base ^ "_v" ^ string_of_int i in
                 emit (Stmt.Output { name = vname; width = 1 });
                 emit (Stmt.Connect { dst = vname; src = valid_expr });
                 vname)
@@ -85,7 +85,7 @@ let instrument_module m classified =
               let lasts =
                 List.mapi
                   (fun i valid_expr ->
-                    let last = Printf.sprintf "%s_last%d" base i in
+                    let last = base ^ "_last" ^ string_of_int i in
                     emit
                       (Stmt.Reg { name = last; width = counter_width; reset = Some 0L });
                     emit
@@ -96,7 +96,7 @@ let instrument_module m classified =
                              Expr.mux valid_expr (Expr.reference cycle)
                                (Expr.reference last);
                          });
-                    let seen = Printf.sprintf "%s_seen%d" base i in
+                    let seen = base ^ "_seen" ^ string_of_int i in
                     emit (Stmt.Reg { name = seen; width = 1; reset = Some 0L });
                     emit
                       (Stmt.Connect
@@ -120,7 +120,7 @@ let instrument_module m classified =
                          (absdiff ci cj)
                          (Expr.lit ~width:counter_width no_interval))
               in
-              let iname = Printf.sprintf "%s_intvl" base in
+              let iname = base ^ "_intvl" in
               emit (Stmt.Node { name = iname ^ "_min"; expr = min_fold pair_intvls });
               emit (Stmt.Output { name = iname; width = counter_width });
               emit
@@ -155,7 +155,7 @@ let instrument circuit =
       (fun m ->
         let classified = Const_filter.classify_module m in
         let m', mons, added = instrument_module m classified in
-        monitors := !monitors @ mons;
+        monitors := List.rev_append mons !monitors;
         stmts_added := !stmts_added + added;
         points := !points + List.length mons;
         m')
@@ -163,7 +163,7 @@ let instrument circuit =
   in
   {
     circuit = { circuit with Circuit.modules };
-    monitors = !monitors;
+    monitors = List.rev !monitors;
     stmts_added = !stmts_added;
     points_instrumented = !points;
   }

@@ -28,8 +28,12 @@ type point = {
 }
 
 val points_of_module : Fmodule.t -> point list
-(** All contention points of a module, in definition order. Tracing through
-    named signals is cycle-safe (combinational loops terminate the trace). *)
+(** All contention points of a module, in definition order. Only the last
+    definition of each name is traced (FIRRTL's last-connect rule), so
+    point ids stay unique. Tracing through named signals is cycle-safe
+    (combinational loops terminate the trace, and a select MUX that reaches
+    itself is traced once). Cost: a definition without a MUX costs one walk
+    of its expression; only MUX-carrying names are hashed. *)
 
 val naive_mux_count : Fmodule.t -> int
 (** Total number of 2:1 MUX nodes in the module (Figure 6's baseline). *)
