@@ -12,21 +12,10 @@ type aligned = {
 
 let key (c : Core_model.commit_record) = c.c_eff.Sonar_isa.Golden.index
 
-let row a0 ~prev0 (b0 : Core_model.commit_record) ~prev1 (b1 : Core_model.commit_record)
-    =
-  {
-    position = a0;
-    instr = b0.c_eff.Sonar_isa.Golden.instr;
-    static_index = key b0;
-    cycle0 = b0.c_cycle;
-    cycle1 = b1.c_cycle;
-    ccd0 = b0.c_cycle - prev0;
-    ccd1 = b1.c_cycle - prev1;
-  }
+let distance (commits : Core_model.commit_record array) i =
+  commits.(i).c_cycle - if i = 0 then 0 else commits.(i - 1).c_cycle
 
-let align commits0 commits1 =
-  let a = Array.of_list commits0 in
-  let b = Array.of_list commits1 in
+let iter_aligned a b f =
   let na = Array.length a and nb = Array.length b in
   (* Common head. *)
   let head = ref 0 in
@@ -42,18 +31,33 @@ let align commits0 commits1 =
   do
     incr tail
   done;
-  let prev0 i = if i = 0 then 0 else a.(i - 1).c_cycle in
-  let prev1 i = if i = 0 then 0 else b.(i - 1).c_cycle in
-  let head_rows =
-    List.init !head (fun i -> row i ~prev0:(prev0 i) a.(i) ~prev1:(prev1 i) b.(i))
+  for i = 0 to !head - 1 do
+    f i i
+  done;
+  for j = 0 to !tail - 1 do
+    f (na - !tail + j) (nb - !tail + j)
+  done;
+  !head + !tail < max na nb
+
+let align commits0 commits1 =
+  let a = Array.of_list commits0 and b = Array.of_list commits1 in
+  let rows = ref [] in
+  let diverged =
+    iter_aligned a b (fun i i' ->
+        let x = a.(i) and y = b.(i') in
+        rows :=
+          {
+            position = i;
+            instr = x.c_eff.Sonar_isa.Golden.instr;
+            static_index = key x;
+            cycle0 = x.c_cycle;
+            cycle1 = y.c_cycle;
+            ccd0 = distance a i;
+            ccd1 = distance b i';
+          }
+          :: !rows)
   in
-  let tail_rows =
-    List.init !tail (fun j ->
-        let i = na - !tail + j and i' = nb - !tail + j in
-        row i ~prev0:(prev0 i) a.(i) ~prev1:(prev1 i') b.(i'))
-  in
-  let diverged = !head + !tail < max na nb in
-  (head_rows @ tail_rows, diverged)
+  (List.rev !rows, diverged)
 
 let ccd_affected rows = List.filter (fun r -> r.ccd0 <> r.ccd1) rows
 let timing_diff_count rows =

@@ -29,6 +29,20 @@ val align :
 (** [(rows, diverged)]: [diverged] is true when the traces differ in the
     middle (head + tail alignment dropped some instructions). *)
 
+val iter_aligned :
+  Sonar_uarch.Core_model.commit_record array ->
+  Sonar_uarch.Core_model.commit_record array ->
+  (int -> int -> unit) ->
+  bool
+(** [iter_aligned a b f] calls [f i i'] for every aligned row — run 0's
+    commit [a.(i)] against run 1's [b.(i')] — head rows first, then tail
+    rows, each ascending: the rows {!align} returns, in its order. The
+    result is [diverged]. *)
+
+val distance : Sonar_uarch.Core_model.commit_record array -> int -> int
+(** [distance commits i]: commit [i]'s CCD, the cycles since the previous
+    commit (since cycle 0 for the first). *)
+
 val ccd_affected : aligned list -> aligned list
 (** Rows whose CCD changes with the secret — the instructions genuinely
     affected by a side channel. *)

@@ -1,6 +1,4 @@
-open Sonar_uarch
-
-type finding = {
+type finding = Pair_digest.finding = {
   core : int;
   position : int;
   instr : Sonar_isa.Instr.t;
@@ -10,7 +8,7 @@ type finding = {
   commit_delta : int;
 }
 
-type report = {
+type report = Pair_digest.report = {
   findings : finding list;
   raw_timing_diffs : int;
   state_diffs : (string * string) list;
@@ -18,41 +16,7 @@ type report = {
   total_delta : int;
 }
 
-let detect (pair : Executor.pair) =
-  let n_cores = Array.length pair.run0.Machine.cores in
-  let findings = ref [] in
-  let raw = ref 0 in
-  let diverged = ref false in
-  for core = 0 to n_cores - 1 do
-    let rows, d =
-      Ccd.align pair.run0.Machine.cores.(core).commits
-        pair.run1.Machine.cores.(core).commits
-    in
-    diverged := !diverged || d;
-    raw := !raw + Ccd.timing_diff_count rows;
-    List.iter
-      (fun (r : Ccd.aligned) ->
-        findings :=
-          {
-            core;
-            position = r.position;
-            instr = r.instr;
-            static_index = r.static_index;
-            ccd0 = r.ccd0;
-            ccd1 = r.ccd1;
-            commit_delta = r.cycle1 - r.cycle0;
-          }
-          :: !findings)
-      (Ccd.ccd_affected rows)
-  done;
-  {
-    findings = List.rev !findings;
-    raw_timing_diffs = !raw;
-    state_diffs =
-      Cpoint.diff_snapshots pair.run0.Machine.snapshots pair.run1.Machine.snapshots;
-    diverged = !diverged;
-    total_delta = pair.run1.Machine.cycles - pair.run0.Machine.cycles;
-  }
+let detect (pair : Executor.pair) = pair.digest.Pair_digest.report
 
 let pp_report fmt r =
   Format.fprintf fmt

@@ -6,7 +6,7 @@
     finding plus the state discrepancies at the points it implicates
     identify and justify a contention side channel (Figure 5). *)
 
-type finding = {
+type finding = Pair_digest.finding = {
   core : int;
   position : int;  (** commit-order position *)
   instr : Sonar_isa.Instr.t;
@@ -16,7 +16,7 @@ type finding = {
   commit_delta : int;  (** cycle1 - cycle0 *)
 }
 
-type report = {
+type report = Pair_digest.report = {
   findings : finding list;  (** CCD-affected instructions, all cores *)
   raw_timing_diffs : int;
       (** instructions whose absolute commit time differs (includes in-order
@@ -28,5 +28,9 @@ type report = {
 }
 
 val detect : Executor.pair -> report
+(** The pair's report, computed with the pair ([pair.digest.report]). The
+    contention-state differential equals
+    {!Sonar_uarch.Cpoint.diff_snapshots} over the two runs'
+    {!Sonar_uarch.Machine.snapshots}. *)
 
 val pp_report : Format.formatter -> report -> unit

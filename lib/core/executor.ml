@@ -4,7 +4,11 @@ type pair = {
   run0 : Machine.result;
   run1 : Machine.result;
   cp : Machine.dual_stats;
+  digest : Pair_digest.t;
 }
+
+let make_pair (run0, run1, cp) =
+  { run0; run1; cp; digest = Pair_digest.make run0 run1 }
 
 (* Worker-local scratch: one reusable [Machine.Ctx] per (domain, config).
    Contexts are reset to cold start at every acquisition inside
@@ -38,11 +42,9 @@ let run_pair ?max_cycles ?ctx ?checkpoint cfg build =
     | Some ctx -> ctx
     | None -> scratch_ctx cfg ~fp:(Config.fingerprint cfg)
   in
-  let run0, run1, cp =
-    Machine.run_dual ?max_cycles ~ctx ?checkpoint cfg (build ~secret:0)
-      (build ~secret:1)
-  in
-  { run0; run1; cp }
+  make_pair
+    (Machine.run_dual ?max_cycles ~ctx ?checkpoint cfg (build ~secret:0)
+       (build ~secret:1))
 
 let executed_event tc pair =
   Telemetry.Testcase_executed
@@ -60,40 +62,8 @@ let execute ?max_cycles ?checkpoint ?emit cfg tc =
   (match emit with Some emit -> emit (executed_event tc pair) | None -> ());
   pair
 
-(* Monomorphic comparator for the sorted [min_intervals] output below. The
-   ordering is identical to polymorphic [compare] on the same tuples
-   (byte-lexicographic strings), but dispatches directly; table keys are
-   unique, so comparing the keys alone is a total order on the entries. *)
-let compare_interval ((na, pa), _) ((nb, pb), _) =
-  match String.compare na nb with 0 -> Int.compare pa pb | c -> c
-
-let min_intervals pair =
-  (* Keyed per (point, source pair); tuple keys avoid allocating a
-     formatted string per interval per run on the fuzzer's hot path. The
-     table is pre-sized to the interval count so absorption never rehashes. *)
-  let size (r : Machine.result) =
-    List.fold_left
-      (fun a (ps : Machine.point_stat) -> a + List.length ps.ps_pair_intervals)
-      0 r.point_stats
-  in
-  let table = Hashtbl.create (max 16 (size pair.run0 + size pair.run1)) in
-  let absorb (r : Machine.result) =
-    List.iter
-      (fun (ps : Machine.point_stat) ->
-        let name = ps.ps_name in
-        List.iter
-          (fun (pair_id, v) ->
-            let key = (name, pair_id) in
-            match Hashtbl.find_opt table key with
-            | Some m when m <= v -> ()
-            | Some _ | None -> Hashtbl.replace table key v)
-          ps.ps_pair_intervals)
-      r.point_stats
-  in
-  absorb pair.run0;
-  absorb pair.run1;
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) table []
-  |> List.sort compare_interval
+let min_intervals pair = pair.digest.Pair_digest.intervals
+let triggered pair = pair.digest.Pair_digest.triggered
 
 let observe_intervals hists pair =
   List.iter
@@ -105,12 +75,10 @@ let observe_intervals hists pair =
    the same order as the sequential path (secret 0 then 1). *)
 let run_pair_scratch ?max_cycles ?checkpoint ~fp cfg tc =
   let ctx = scratch_ctx cfg ~fp in
-  let run0, run1, cp =
-    Machine.run_dual ?max_cycles ~ctx ?checkpoint cfg
-      (Testcase.materialize tc ~secret:0)
-      (Testcase.materialize tc ~secret:1)
-  in
-  { run0; run1; cp }
+  make_pair
+    (Machine.run_dual ?max_cycles ~ctx ?checkpoint cfg
+       (Testcase.materialize tc ~secret:0)
+       (Testcase.materialize tc ~secret:1))
 
 let auto_chunk ~jobs n =
   (* Aim for ~2 slices per worker: coarse enough that per-task dispatch and
@@ -183,53 +151,3 @@ let execute_batch ?max_cycles ?pool ?chunk ?checkpoint ?emit ?hists cfg tcs =
           let pairs = Domain_pool.await future in
           List.mapi (fun i tc -> finish tc pairs.(i)) slice)
         futures
-
-(* Monomorphic comparator for [triggered]: identical ordering to polymorphic
-   [compare] on the same tuples (byte-lexicographic strings, constructor
-   order for [Cpoint.kind]), but dispatches directly; table keys are unique,
-   so comparing the keys alone is a total order on the entries. *)
-let kind_rank = function Cpoint.Volatile -> 0 | Cpoint.Persistent -> 1
-
-let compare_triggered ((na, ka, sa), _) ((nb, kb, sb), _) =
-  match String.compare na nb with
-  | 0 -> (
-      match Int.compare (kind_rank ka) (kind_rank kb) with
-      | 0 -> Int.compare sa sb
-      | c -> c)
-  | c -> c
-
-let triggered pair =
-  let size (r : Machine.result) =
-    List.fold_left
-      (fun a (ps : Machine.point_stat) -> a + List.length ps.ps_triggered)
-      0 r.point_stats
-  in
-  let table = Hashtbl.create (max 16 (size pair.run0 + size pair.run1)) in
-  let absorb (r : Machine.result) =
-    List.iter
-      (fun (ps : Machine.point_stat) ->
-        let name = ps.ps_name in
-        let w = float_of_int ps.ps_fanout /. float_of_int ps.ps_max_subs in
-        List.iter
-          (fun (kind, sub) -> Hashtbl.replace table (name, kind, sub) w)
-          ps.ps_triggered)
-      r.point_stats
-  in
-  absorb pair.run0;
-  absorb pair.run1;
-  Hashtbl.fold (fun k w acc -> (k, w) :: acc) table []
-  |> List.sort compare_triggered
-
-let single_valid_share pair =
-  let single = Hashtbl.create 32 in
-  List.iter
-    (fun (ps : Machine.point_stat) ->
-      if ps.ps_single_valid then Hashtbl.replace single ps.ps_name ())
-    pair.run0.point_stats;
-  let total = ref 0. and sv = ref 0. in
-  List.iter
-    (fun (((name, _, _) : string * Cpoint.kind * int), w) ->
-      total := !total +. w;
-      if Hashtbl.mem single name then sv := !sv +. w)
-    (triggered pair);
-  if !total = 0. then 0. else !sv /. !total

@@ -14,7 +14,15 @@ type pair = {
   cp : Sonar_uarch.Machine.dual_stats;
       (** checkpoint outcome for this dual run (fork cycle, cycles saved);
           deterministic per testcase, independent of jobs/chunk *)
+  digest : Pair_digest.t;
+      (** what the feedback fold reads from the pair — intervals, triggered
+          set, coverage credits, detector report — computed once by
+          {!run_pair} (on the pool worker that ran the pair, in a batch);
+          {!min_intervals}, {!triggered}, {!Coverage.add_pair} and
+          {!Detector.detect} read it *)
 }
+(** Plain data throughout (no closures, no lazy values): pairs compare
+    structurally and marshal. *)
 
 val run_pair :
   ?max_cycles:int ->
@@ -70,22 +78,19 @@ val execute_batch :
     reset to cold start per run and behaves bit-identically to a fresh
     machine (tested). [emit] is invoked only from the calling domain, one
     {!Telemetry.event.Testcase_executed} per testcase in input order.
-    [hists] accumulates each pair's {!min_intervals} likewise on the
-    calling domain in input order, so the resulting distributions — and
-    the trace events flushed from them — are independent of both pool
-    size and chunking.
+    [hists] accumulates each pair's {!min_intervals} (read from its
+    digest) likewise on the calling domain in input order, so the
+    resulting distributions — and the trace events flushed from them — are
+    independent of both pool size and chunking.
 
     @raise Invalid_argument when [chunk < 1]. *)
 
 val min_intervals : pair -> ((string * int) * int) list
 (** Per (contention point, source pair), the smaller of the two runs'
     minimum pairwise [reqsIntvl] (points that never saw two sources are
-    absent). *)
+    absent), ascending by (point name, pair). Read from [pair.digest]. *)
 
 val triggered : pair -> ((string * Sonar_uarch.Cpoint.kind * int) * float) list
 (** Union over both runs of triggered sub-points, with the netlist weight
-    ([fanout / max_subs]) each contributes to contention coverage. *)
-
-val single_valid_share : pair -> float
-(** Fraction of this pair's triggered weight located at single-valid points
-    (Figure 9's dominance metric). *)
+    ([fanout / max_subs]) each contributes to contention coverage,
+    ascending by (point name, kind, sub). Read from [pair.digest]. *)

@@ -17,16 +17,56 @@ type core_result = {
   transient_executed : int;
 }
 
+type point_info = {
+  pi_name : string;
+  pi_component : Sonar_ir.Component.t;
+  pi_fanout : int;  (** netlist contention points the point maps to *)
+  pi_max_subs : int;  (** volatile pairs x data buckets + persistent subs *)
+  pi_n_sources : int;
+  pi_volatile_slots : int;
+      (** sub-point indices below this are {!Cpoint.Volatile}, the rest
+          {!Cpoint.Persistent} *)
+  pi_single_valid : bool;
+  pi_sub_weight : float;
+      (** [pi_fanout / pi_max_subs]: the netlist weight of one triggered
+          sub-point *)
+}
+(** What a contention point is, independent of any run. *)
+
+type layout = {
+  points : point_info array;  (** in registration order *)
+  by_name : int array;
+      (** registration indices in ascending name order (byte-lexicographic) *)
+}
+(** The registry's points, built once per registry and shared by every
+    result collected from it. Registration is structural (config and core
+    count only), so two results of one {!run_dual} have the same layout. *)
+
+(** One run's outcome. The contention-point observations are dense arrays
+    indexed by registration order ([layout.points]); {!point_stats} and
+    {!snapshots} project them to per-point records. A result holds only
+    plain data (no closures, no lazy values), so structural equality and
+    [Marshal] work on it. Its arrays are never mutated after collection
+    and must not be mutated by callers. *)
 type result = {
   cores : core_result array;
   cycles : int;  (** total cycles simulated *)
-  snapshots : Cpoint.snapshot list;
   window : (int * int) option;  (** monitoring-window bounds, cycles *)
-  point_stats : point_stat list;
   hit_cycle_limit : bool;
+  layout : layout;
+  pair_min : int array array;
+      (** per point, per risky source pair: the minimum in-window interval
+          ([max_int] = never observed) *)
+  hits : int array array;  (** per point, in-window requests per source *)
+  min_pair : int option array;  (** per point, min pairwise [reqsIntvl] *)
+  min_self : int option array;
+      (** per point, min same-source consecutive interval *)
+  digest : int array;  (** per point, the event-stream digest *)
+  triggered : int array array;
+      (** per point, the triggered sub-point indices, ascending *)
 }
 
-and point_stat = {
+type point_stat = {
   ps_name : string;
   ps_component : Sonar_ir.Component.t;
   ps_fanout : int;
@@ -39,6 +79,14 @@ and point_stat = {
       (** per source pair, the minimum in-window interval *)
   ps_n_sources : int;
 }
+
+val point_stats : result -> point_stat list
+(** Per-point statistics in registration order, built from the dense
+    arrays (for cold consumers: reports, tests). *)
+
+val snapshots : result -> Cpoint.snapshot list
+(** Per-point contention-state snapshots in registration order, as
+    {!Cpoint.snapshot} takes them (fresh [s_hits] copies). *)
 
 type dual_stats = {
   fork_cycle : int option;
